@@ -219,7 +219,6 @@ def _detect_body(args, token: _SignalToken) -> int:
         pl_period=args.pl_period if args.pl_period > 0 else None,
         probing=ProbeStrategy(args.probing),
         switch_degree=args.switch_degree,
-        fused_sweep=not args.no_fused_sweep,
         persistent_kernel=args.persistent_kernel,
         compact_layout=not args.no_compact_layout,
         degree_renumber=args.degree_renumber,
@@ -741,9 +740,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--probing", default="quadratic-double",
                    choices=[s.value for s in ProbeStrategy])
     p.add_argument("--switch-degree", type=int, default=32)
-    p.add_argument("--no-fused-sweep", action="store_true",
-                   help="run the unfused clear/insert/max hashtable sweeps "
-                        "(reference path; labels are bit-identical to fused)")
     p.add_argument("--persistent-kernel", action="store_true",
                    help="model grid-resident kernels: only the first launch "
                         "of each kernel kind pays launch overhead")

@@ -40,6 +40,9 @@ class SwapPrevention(enum.Enum):
 class LPAConfig:
     """All tunables of ν-LPA; immutable so runs can share one instance.
 
+    Not tunables: both engines always use a workspace arena, and the
+    hashtable engine always runs its one fused sweep (docs/performance.md).
+
     Attributes
     ----------
     max_iterations:
@@ -63,28 +66,11 @@ class LPAConfig:
         Hashtable value dtype, fp32 (paper default) or fp64 (Figure 5).
     pruning:
         Vertex pruning: skip vertices none of whose neighbours changed.
-    workspace_arena:
-        Serve every per-wave scratch array from a reusable
-        :class:`~repro.perf.workspace.WorkspaceArena` so steady-state
-        iterations are allocation-free.  Results are bit-identical with
-        the arena off (the differential tests assert it); the switch
-        exists for those tests and for debugging buffer-lifetime issues.
     shared_memory_tables:
         Place the hashtables of sufficiently-low-degree thread-kernel
         vertices in per-SM shared memory instead of the global buffers.
         The paper tried this and "saw little to no performance gain"
         (ablation A3); off by default, like the paper's final design.
-    fused_sweep:
-        Fuse the per-wave clear → insert → max-key hashtable sweeps into
-        one kernel-model pass: tables start (and are left) clean, the
-        accumulate rounds record which slots they claim, and a single
-        fused reduction scans only the claimed slots before re-clearing
-        them.  Labels and :class:`~repro.gpu.counters.KernelCounters` are
-        bit-identical with the unfused path (the differential tests
-        assert it); the switch exists for those tests.  Automatically
-        bypassed while a fault hook is attached, because injected
-        corruption must land on the same buffers the unfused sweeps
-        touch.
     persistent_kernel:
         Model a persistent (mega-)kernel: each kernel kind pays its
         launch overhead once per run instead of once per iteration, and
@@ -124,9 +110,6 @@ class LPAConfig:
         Fraction of the budget held back from the ledger (modeling the
         CUDA context, co-tenant allocations, fragmentation slack).  Must
         be in ``[0, 1)``.
-    seed:
-        Reserved for future randomised variants; the implemented algorithm
-        is deterministic and ignores it.
     """
 
     max_iterations: int = 20
@@ -137,16 +120,13 @@ class LPAConfig:
     probing: ProbeStrategy = ProbeStrategy.QUADRATIC_DOUBLE
     value_dtype: type = VALUE_DTYPE_F32
     pruning: bool = True
-    workspace_arena: bool = True
     shared_memory_tables: bool = False
-    fused_sweep: bool = True
     persistent_kernel: bool = False
     compact_layout: bool = True
     degree_renumber: bool = False
     device: DeviceSpec = field(default=A100)
     memory_budget_bytes: int | None = None
     reserved_memory_fraction: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -244,10 +224,11 @@ class ResilienceConfig:
         Ladder rung 3: recompute the affected move on a fresh, hook-free
         :class:`~repro.core.engine_vectorized.VectorizedEngine`.
     validate_invariants:
-        Run the post-move invariant checks (label range, finite values).
+        Run the invariant checks (label range after each move, finite
+        values within each wave).
     deep_checks:
-        Include the O(|E|) finite-value sweep over the hashtable value
-        buffer in those checks.
+        Include the finite-value check of each hashtable wave's table
+        values (run inside the wave; O(|E|) per move in total).
     strict_pl_monotone:
         Escalate a rising changed-vertex fraction across Pick-Less rounds
         from a flagged report entry to a hard

@@ -100,7 +100,7 @@ class HashtableEngine:
     def __init__(self, graph: CSRGraph, config: LPAConfig) -> None:
         self.graph = graph
         self.config = config
-        self.arena = WorkspaceArena() if config.workspace_arena else None
+        self.arena = WorkspaceArena()
         # Loop-free graphs (the common case; checked once, cached on the
         # graph) skip the per-wave self-loop filter entirely.
         self._loop_free = not graph.has_self_loops
@@ -110,7 +110,7 @@ class HashtableEngine:
         # Fused sweep: the accumulate rounds record their claimed slots
         # here so one fused pass can reduce and re-clear them (the flat
         # buffers start all-empty, so no up-front clear is needed either).
-        self._tracker = SlotTracker() if config.fused_sweep else None
+        self._tracker = SlotTracker()
         # Persistent-kernel mode: kinds whose one-time launch cost has
         # been paid (each kernel stays resident after its first launch).
         self._launched: set[KernelKind] = set()
@@ -186,8 +186,7 @@ class HashtableEngine:
             except Exception:
                 self.tables = build(old_scale)
                 governor.reserve("hashtable", freed)
-                if self._tracker is not None:
-                    self._tracker.reset()
+                self._tracker.reset()
                 raise
         self.tables = tables
         #: Byte report of the newest regrow/shrink (the ledger's receipt).
@@ -196,10 +195,9 @@ class HashtableEngine:
             "freed_bytes": freed,
             "claimed_bytes": claimed,
         }
-        if self._tracker is not None:
-            # The fresh buffers are all-empty; stale claims must not be
-            # re-cleared (or reduced) against the new layout.
-            self._tracker.reset()
+        # The fresh buffers are all-empty; stale claims must not be
+        # re-cleared (or reduced) against the new layout.
+        self._tracker.reset()
         return scale
 
     def release_memory(self) -> int:
@@ -213,9 +211,8 @@ class HashtableEngine:
             released = self.tables.memory_bytes()
             self.governor.release("hashtable", released)
             self.governor = None
-        if self.arena is not None:
-            released += self.arena.release_charges()
-            self.arena.governor = None
+        released += self.arena.release_charges()
+        self.arena.governor = None
         return released
 
     # ------------------------------------------------------------------ #
@@ -391,39 +388,13 @@ class HashtableEngine:
             self.fault_hook(self._fault_context("accumulate", kind, wave, labels, base, p1))
 
         # Fused sweep: tables are already clean (the init fill / the
-        # previous wave's clear-at-end), so the up-front clear is skipped
-        # and the accumulate records its claimed slots for one fused
-        # reduce+clear pass.  Slot-clear accounting is unchanged — the
-        # kernel model still prices the full per-table clear the GPU's
-        # fused kernel performs in-register.  Bypassed under a fault
-        # hook: injected corruption must land on the unfused buffers.
-        fused = self._tracker is not None and self.fault_hook is None
-        if fused:
-            cleared = int(p1.sum())
-            try:
-                acc = parallel_accumulate(
-                    self.tables.keys,
-                    self.tables.values,
-                    base,
-                    p1,
-                    p2,
-                    entry_table,
-                    entry_key,
-                    entry_value,
-                    self.config.probing,
-                    shared=kind.uses_atomics,
-                    arena=arena,
-                    claimed=self._tracker,
-                )
-            except BaseException:
-                # Restore the tables-start-clean invariant before the
-                # resilience ladder retries or regrows.
-                self._scrub_claimed()
-                raise
-        else:
-            cleared = segmented_clear(
-                self.tables.keys, self.tables.values, base, p1, arena
-            )
+        # previous wave's clear-at-end), so there is no up-front clear;
+        # the accumulate records its claimed slots and the reduce
+        # re-clears exactly those.  The kernel model still prices the
+        # full per-table clear the GPU's fused kernel does in-register.
+        tracker = self._tracker
+        cleared = int(p1.sum())
+        try:
             acc = parallel_accumulate(
                 self.tables.keys,
                 self.tables.values,
@@ -436,52 +407,57 @@ class HashtableEngine:
                 self.config.probing,
                 shared=kind.uses_atomics,
                 arena=arena,
+                claimed=tracker,
             )
-        warp_serial = self._warp_critical_path(
-            kind, wave, entry_table, edge_rank, acc.entry_probes
-        )
+            warp_serial = self._warp_critical_path(
+                kind, wave, entry_table, edge_rank, acc.entry_probes
+            )
 
-        if self.fault_hook is not None:
-            self.fault_hook(self._fault_context("reduce", kind, wave, labels, base, p1))
+            if self.fault_hook is not None:
+                self.fault_hook(
+                    self._fault_context("reduce", kind, wave, labels, base, p1)
+                )
 
-        fallback = take(arena, "hw.fb", w, labels.dtype)
-        labels.take(wave, out=fallback, mode="clip")
-        if fused and 4 * len(self._tracker) < cleared:
-            best = fused_max_and_clear(
-                self.tables.keys,
-                self.tables.values,
-                fallback,
-                self._tracker,
-                arena=arena,
-                out=take(arena, "hw.best", w, labels.dtype),
-            )
-        elif fused:
-            # Dense tables (claimed ≳ 1/4 of the live region): the packed
-            # sort in the fused sweep costs more than a straight segmented
-            # scan, so reduce segment-wise and restore the clean-tables
-            # invariant by scattering only the claimed slots.  Either
-            # branch yields bit-identical labels; the threshold is purely
-            # a speed heuristic.
-            best = segmented_max_key(
-                self.tables.keys,
-                self.tables.values,
-                base,
-                p1,
-                fallback,
-                arena=arena,
-                out=take(arena, "hw.best", w, labels.dtype),
-            )
-            self._scrub_claimed()
-        else:
-            best = segmented_max_key(
-                self.tables.keys,
-                self.tables.values,
-                base,
-                p1,
-                fallback,
-                arena=arena,
-                out=take(arena, "hw.best", w, labels.dtype),
-            )
+            fallback = take(arena, "hw.fb", w, labels.dtype)
+            labels.take(wave, out=fallback, mode="clip")
+            best = take(arena, "hw.best", w, labels.dtype)
+            if 4 * len(tracker) < cleared:
+                fused_max_and_clear(
+                    self.tables.keys,
+                    self.tables.values,
+                    fallback,
+                    tracker,
+                    arena=arena,
+                    out=best,
+                )
+            else:
+                # Dense tables (claimed ≳ 1/4 of the live region): the
+                # packed sort costs more than a straight segmented scan,
+                # so reduce segment-wise and restore the clean-tables
+                # invariant by scattering only the claimed slots.  Both
+                # branches yield bit-identical labels; the threshold is
+                # purely a speed heuristic.
+                segmented_max_key(
+                    self.tables.keys,
+                    self.tables.values,
+                    base,
+                    p1,
+                    fallback,
+                    arena=arena,
+                    out=best,
+                )
+                slots, _ = tracker.views()
+                self.tables.keys[slots] = EMPTY_KEY
+                self.tables.values[slots] = 0
+                tracker.reset()
+        except BaseException:
+            # Aborted wave (overflow, injected fault, arena OOM): every
+            # claimed slot lies in this wave's tables, so clearing them
+            # whole hands the ladder clean tables (on fresh scratch, so
+            # the governor cannot refuse it).
+            segmented_clear(self.tables.keys, self.tables.values, base, p1)
+            tracker.reset()
+            raise
 
         adopt = pick_less_filter(
             fallback,
@@ -539,17 +515,6 @@ class HashtableEngine:
             smem_probes=smem_probes,
         )
         return adopters
-
-    # ------------------------------------------------------------------ #
-
-    def _scrub_claimed(self) -> None:
-        """Re-empty every slot the aborted accumulate claimed."""
-        tracker = self._tracker
-        if tracker is not None and len(tracker):
-            slots, _ = tracker.views()
-            self.tables.keys[slots] = EMPTY_KEY
-            self.tables.values[slots] = 0
-            tracker.reset()
 
     # ------------------------------------------------------------------ #
 

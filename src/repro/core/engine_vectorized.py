@@ -16,10 +16,11 @@ Counters are coarse (edges scanned, waves, adjacency/label traffic): this
 engine exists for speed, not for the cost model — experiments use the
 hashtable engine.
 
-Every scratch array of the per-wave hot path comes from the engine's
-:class:`~repro.perf.workspace.WorkspaceArena` (``config.workspace_arena``);
-steady-state waves therefore allocate nothing, and the arena-off path runs
-the *same* arithmetic on fresh buffers, so the two are bit-identical.
+Every scratch array of the per-wave hot path comes from the engine's own
+:class:`~repro.perf.workspace.WorkspaceArena`, so steady-state waves
+allocate nothing.  The kernels also accept ``arena=None`` (fresh buffers,
+the *same* arithmetic) for callers outside the engines; the differential
+tests run the engines that way as a reference.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ class VectorizedEngine:
     def __init__(self, graph: CSRGraph, config: LPAConfig) -> None:
         self.graph = graph
         self.config = config
-        self.arena = WorkspaceArena() if config.workspace_arena else None
+        self.arena = WorkspaceArena()
         self._accum_dtype = np.dtype(config.value_dtype)
         # Loop-free graphs (the common case; checked once, cached on the
         # graph) skip the per-wave self-loop filter entirely.
@@ -346,10 +347,8 @@ class VectorizedEngine:
         Same contract as the hashtable engine's ``release_memory``:
         idempotent, returns the bytes released.
         """
-        released = 0
-        if self.arena is not None:
-            released = self.arena.release_charges()
-            self.arena.governor = None
+        released = self.arena.release_charges()
+        self.arena.governor = None
         self.governor = None
         return released
 

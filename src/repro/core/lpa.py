@@ -246,8 +246,7 @@ def nu_lpa(
         # Hand the ledger to the engine: regrow/shrink move the
         # ``hashtable`` charge, arena growth charges its byte delta.
         eng.governor = governor
-        if getattr(eng, "arena", None) is not None:
-            eng.arena.governor = governor
+        eng.arena.governor = governor
 
     if tracer is not None:
         eng.tracer = tracer
@@ -277,9 +276,7 @@ def nu_lpa(
         labels_charge = 2 * labels.nbytes
         governor.reserve("labels", labels_charge)
 
-    frontier = Frontier(
-        graph, enabled=config.pruning, arena=getattr(eng, "arena", None)
-    )
+    frontier = Frontier(graph, enabled=config.pruning, arena=eng.arena)
     if initial_active is not None:
         active = np.asarray(initial_active, dtype=np.int64)
         if active.shape[0] and (active.min() < 0 or active.max() >= n):
@@ -327,6 +324,7 @@ def nu_lpa(
                     supervisor.restore_state(
                         injector_fires=state.injector_fires,
                         last_pl_fraction=state.last_pl_fraction,
+                        capacity_scale=state.capacity_scale,
                     )
 
     meter: BudgetMeter | None = None
@@ -469,6 +467,7 @@ def nu_lpa(
                             supervisor.restore_state(
                                 injector_fires=state.injector_fires,
                                 last_pl_fraction=state.last_pl_fraction,
+                                capacity_scale=state.capacity_scale,
                             )
                         guard.note_rewind(labels)
                         if tracing:
@@ -536,6 +535,10 @@ def nu_lpa(
                                 last_pl_fraction=(
                                     supervisor.last_pl_fraction
                                     if supervisor is not None else None
+                                ),
+                                capacity_scale=(
+                                    supervisor.capacity_scale
+                                    if supervisor is not None else 1
                                 ),
                             )
                         )

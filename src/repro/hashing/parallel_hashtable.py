@@ -667,8 +667,9 @@ def fused_max_and_clear(
     and therefore reduces over exactly the same values.  The tie-break
     (lowest slot holding the maximum, in float64 comparison) is preserved
     because within one table the absolute slot order equals the
-    within-table rank order.  Tables with no claimed slot keep
-    ``fallback[t]``, exactly like tables with no occupied slot.
+    within-table rank order.  Tables with no claimed slot, or whose
+    claimed values include a NaN (no value equals a NaN maximum), keep
+    ``fallback[t]`` — exactly as the unfused reduction does.
 
     Sorting the ``(table, slot)`` pairs — packed into one int64 when the
     bit widths allow, which they always do at simulatable sizes — groups
@@ -733,10 +734,19 @@ def fused_max_and_clear(
     winner_slot = take(arena, "fz.win", num_groups, np.int64)
     np.minimum.reduceat(candidate, gstart, out=winner_slot)
 
-    winner_key = take(arena, "fz.wkey", num_groups, np.int64)
-    keys_buf.take(winner_slot, out=winner_key, mode="clip")
     gtable = take(arena, "fz.gt", num_groups, np.int64)
     t.take(gstart, out=gtable, mode="clip")
+    # A group holding a NaN has a NaN maximum that no value equals, so it
+    # has no winner and keeps its fallback, as in ``segmented_max_key``.
+    found = take(arena, "fz.has", num_groups, bool)
+    np.not_equal(winner_slot, _INT64_MAX, out=found)
+    num_found = int(np.count_nonzero(found))
+    if num_found < num_groups:
+        gtable, winner_slot = compact(
+            arena, "fz.found", found, num_found, gtable, winner_slot
+        )
+    winner_key = take(arena, "fz.wkey", num_found, np.int64)
+    keys_buf.take(winner_slot, out=winner_key, mode="clip")
     out[gtable] = winner_key
 
     # Clear-at-end: hand the next wave clean tables.

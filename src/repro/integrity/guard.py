@@ -309,7 +309,7 @@ class IntegrityGuard:
             self._shadow_frontier = Frontier(
                 self.graph,
                 enabled=self.lpa_config.pruning,
-                arena=getattr(self._shadow, "arena", None),
+                arena=self._shadow.arena,
             )
         # Slot order decides max-reduce ties, and slot order follows table
         # capacity — after the supervisor's regrow rung the twin must grow

@@ -114,6 +114,10 @@ class CheckpointState:
     injector_fires: int = 0
     #: Supervisor's last Pick-Less changed fraction, if any.
     last_pl_fraction: float | None = None
+    #: Hashtable ``capacity_scale`` the regrow/shrink rungs left behind:
+    #: slot order breaks max-reduce ties, so a resumed run must continue
+    #: at the same scale to stay bit-identical.
+    capacity_scale: int = 1
 
 
 def _stats_to_json(stats: list[IterationStats]) -> list[dict]:
@@ -219,6 +223,7 @@ class CheckpointManager:
             "converged": state.converged,
             "injector_fires": state.injector_fires,
             "last_pl_fraction": state.last_pl_fraction,
+            "capacity_scale": state.capacity_scale,
             "stats": _stats_to_json(state.stats),
             "crc32": {
                 "labels": zlib.crc32(labels.tobytes()),
@@ -325,6 +330,7 @@ class CheckpointManager:
             stats=_stats_from_json(meta.get("stats", [])),
             injector_fires=int(meta.get("injector_fires", 0)),
             last_pl_fraction=None if last_pl is None else float(last_pl),
+            capacity_scale=int(meta.get("capacity_scale", 1)),
         )
 
 

@@ -3,7 +3,8 @@
 One :meth:`KernelSupervisor.move` call is one *supervised* iteration: the
 pre-move state (labels + frontier flags) is snapshotted, the engine runs,
 and the output is validated against the invariants in
-:mod:`repro.resilience.invariants`.  Any device fault or invariant failure
+:mod:`repro.resilience.invariants` (finite values inside each wave, see
+:meth:`KernelSupervisor._wave_hook`).  Any device fault or invariant failure
 restores the snapshot and descends the degradation ladder:
 
 1. **retry** the move with exponential backoff (transient faults — CAS
@@ -54,7 +55,8 @@ from repro.errors import (
 from repro.gpu.kernel import LaunchStatus
 from repro.graph.csr import CSRGraph
 from repro.observe.trace import FaultRungEvent
-from repro.resilience.faults import FaultInjector
+from repro.hashing.parallel_hashtable import segment_index_arrays
+from repro.resilience.faults import FaultContext, FaultInjector
 from repro.resilience.invariants import (
     check_finite_values,
     check_label_range,
@@ -93,7 +95,14 @@ class KernelSupervisor:
         self.injector: FaultInjector | None = None
         if resilience.faults is not None:
             self.injector = FaultInjector(resilience.faults)
-            engine.fault_hook = self.injector
+        #: Whether :meth:`_wave_hook` runs the finite-value deep check.
+        self._deep_checks = (
+            resilience.validate_invariants
+            and resilience.deep_checks
+            and hasattr(engine, "tables")
+        )
+        if self.injector is not None or self._deep_checks:
+            engine.fault_hook = self._wave_hook
         self._fallback: VectorizedEngine | None = None
         #: Changed fraction of the last completed Pick-Less round.
         self.last_pl_fraction: float | None = None
@@ -114,11 +123,39 @@ class KernelSupervisor:
         """All fault events recorded so far."""
         return self.report.events
 
-    def restore_state(self, *, injector_fires: int, last_pl_fraction: float | None) -> None:
-        """Reinstate cross-iteration supervisor state from a checkpoint."""
+    @property
+    def capacity_scale(self) -> int:
+        """The engine's hashtable ``capacity_scale`` (1 without tables)."""
+        return getattr(getattr(self.engine, "tables", None), "capacity_scale", 1)
+
+    def restore_state(
+        self, *, injector_fires: int, last_pl_fraction: float | None,
+        capacity_scale: int = 1,
+    ) -> None:
+        """Reinstate cross-iteration supervisor state from a checkpoint.
+
+        Slot order follows table capacity and breaks max-reduce ties, so
+        the tables are resized to the checkpoint's scale (the integrity
+        guard's DMR twin follows the engine the same way).
+        """
         if self.injector is not None:
             self.injector.fires = injector_fires
         self.last_pl_fraction = last_pl_fraction
+        while self.capacity_scale < capacity_scale:
+            self.engine.grow_tables()
+        while self.capacity_scale > capacity_scale:
+            self.engine.shrink_tables()
+
+    def _wave_hook(self, ctx: FaultContext) -> None:
+        """Fire any armed fault, then check the wave's table values are
+        finite — at the reduce point, the one moment they hold the wave's
+        accumulations (the fused sweep re-clears them before the move
+        returns)."""
+        if self.injector is not None:
+            self.injector(ctx)
+        if self._deep_checks and ctx.phase == "reduce":
+            flat, _, _ = segment_index_arrays(ctx.base, ctx.p1)
+            check_finite_values(ctx.values[flat])
 
     # ------------------------------------------------------------------ #
 
@@ -147,7 +184,8 @@ class KernelSupervisor:
                 outcome = self.engine.move(
                     labels, frontier, pick_less=pick_less, iteration=iteration
                 )
-                self._validate(labels, self.engine, pick_less, iteration)
+                if self.resilience.validate_invariants:
+                    check_label_range(labels, self.graph.num_vertices)
                 if self.guard is not None:
                     # ABFT audits run inside the try block so a detection
                     # (IntegrityError/EccError) restores the snapshot and
@@ -211,10 +249,7 @@ class KernelSupervisor:
         ):
             return False
         shrunk = False
-        while (
-            self.governor.over_budget()
-            and getattr(getattr(self.engine, "tables", None), "capacity_scale", 1) > 1
-        ):
+        while self.governor.over_budget() and self.capacity_scale > 1:
             self._record(iteration, attempt, exc, "shrink-tables", 0.0)
             self.engine.shrink_tables()
             shrunk = True
@@ -271,15 +306,6 @@ class KernelSupervisor:
         ) from cause
 
     # ------------------------------------------------------------------ #
-
-    def _validate(self, labels, engine, pick_less: bool, iteration: int) -> None:
-        """Hard invariants; raises :class:`InvariantViolation` on failure."""
-        if not self.resilience.validate_invariants:
-            return
-        check_label_range(labels, self.graph.num_vertices)
-        tables = getattr(engine, "tables", None)
-        if tables is not None and self.resilience.deep_checks:
-            check_finite_values(tables.values)
 
     def _note_pick_less(self, pick_less: bool, outcome, iteration: int) -> None:
         """Track the PL changed-fraction invariant on successful moves."""

@@ -1,12 +1,12 @@
 """Differential suite for the fused-sweep / compact-layout hot paths.
 
-PR 9's contract is that none of its performance levers change *what* is
-computed:
+None of the performance levers may change *what* is computed:
 
-* ``fused_sweep`` replaces the clear → insert → max hashtable sweeps with
-  one fused kernel (tables start clean, CAS-claimed slots are scrubbed
-  after the max) — labels, per-iteration stats, and every kernel counter
-  must match the unfused path bit for bit;
+* the hashtable engine's one production sweep fuses clear → insert →
+  max-key (tables start clean, CAS-claimed slots are scrubbed after the
+  max) — labels, per-iteration stats, and every kernel counter must match
+  a run whose reduce is the literal per-table loop of
+  :func:`tests.reference_sweep.literal_max_key` plus a full clear;
 * ``compact_layout`` shrinks offsets/targets/labels to 32 bits when the
   graph fits — same values, half the bytes;
 * ``persistent_kernel`` only re-prices launches in the cost model — the
@@ -20,6 +20,7 @@ strategy, and arena on/off, and extend the steady-state ``tracemalloc``
 proof to the fused hashtable path.
 """
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -32,17 +33,25 @@ from repro.errors import ConfigurationError
 from repro.graph.generators import rmat_graph, watts_strogatz, web_graph
 from repro.hashing.probing import ProbeStrategy
 from repro.types import VERTEX_DTYPE
+from tests.reference_sweep import no_arena, reference_reduce
 
 ENGINES = ["vectorized", "hashtable"]
 
 
-def _run(graph, engine, **config_kwargs):
-    return nu_lpa(
-        graph,
-        LPAConfig(**config_kwargs),
-        engine=engine,
-        warn_on_no_convergence=False,
-    )
+def _run(graph, engine, *, reference=False, arena=True, **config_kwargs):
+    """One run; ``reference`` swaps in the literal reduce, ``arena=False``
+    builds the engines without a workspace arena."""
+    with contextlib.ExitStack() as stack:
+        if reference:
+            stack.enter_context(reference_reduce())
+        if not arena:
+            stack.enter_context(no_arena())
+        return nu_lpa(
+            graph,
+            LPAConfig(**config_kwargs),
+            engine=engine,
+            warn_on_no_convergence=False,
+        )
 
 
 def _assert_identical(a, b, context):
@@ -56,35 +65,34 @@ def _assert_identical(a, b, context):
 
 
 class TestFusedSweepDifferential:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("arena", [True, False])
-    def test_bit_identical_labels_and_counters(self, small_web, engine, arena):
-        fused = _run(small_web, engine, fused_sweep=True, workspace_arena=arena)
-        plain = _run(small_web, engine, fused_sweep=False, workspace_arena=arena)
-        _assert_identical(fused, plain, f"{engine}, arena={arena}")
+    def test_bit_identical_labels_and_counters(self, small_web, arena):
+        fused = _run(small_web, "hashtable")
+        plain = _run(small_web, "hashtable", reference=True, arena=arena)
+        _assert_identical(fused, plain, f"arena={arena}")
 
     @pytest.mark.parametrize("probing", list(ProbeStrategy))
     def test_bit_identical_across_probing_strategies(self, small_social, probing):
-        fused = _run(small_social, "hashtable", fused_sweep=True, probing=probing)
-        plain = _run(small_social, "hashtable", fused_sweep=False, probing=probing)
+        fused = _run(small_social, "hashtable", probing=probing)
+        plain = _run(small_social, "hashtable", reference=True, probing=probing)
         _assert_identical(fused, plain, probing.value)
 
     def test_dense_tables_take_segmented_branch(self):
         # Uniform-degree ring lattice: occupancy is high enough that the
         # adaptive heuristic prefers segmented-max + claimed-slot scrub
-        # over the packed sort.  Both fused branches must still agree
-        # with the unfused path.
+        # over the packed sort.  Both branches must still agree with the
+        # literal reduce.
         graph = watts_strogatz(2000, 10, 0.05, seed=5)
-        fused = _run(graph, "hashtable", fused_sweep=True)
-        plain = _run(graph, "hashtable", fused_sweep=False)
+        fused = _run(graph, "hashtable")
+        plain = _run(graph, "hashtable", reference=True)
         _assert_identical(fused, plain, "watts_strogatz dense branch")
 
     def test_scalar_tail_graph(self):
         # Heavy-tailed graph small enough that waves finish in the scalar
         # tail (pending <= _SCALAR_TAIL_MAX) almost immediately.
         graph = rmat_graph(6, 4, seed=3)
-        fused = _run(graph, "hashtable", fused_sweep=True)
-        plain = _run(graph, "hashtable", fused_sweep=False)
+        fused = _run(graph, "hashtable")
+        plain = _run(graph, "hashtable", reference=True)
         _assert_identical(fused, plain, "scalar tail")
 
 
@@ -100,9 +108,13 @@ class TestCompactLayoutDifferential:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_full_matrix_corner(self, small_social, engine):
-        # Cross-check the extreme corners of the fused x compact matrix.
-        fast = _run(small_social, engine, fused_sweep=True, compact_layout=True)
-        slow = _run(small_social, engine, fused_sweep=False, compact_layout=False)
+        # Production against the far corner: wide layout, literal
+        # reduce, no arena.
+        fast = _run(small_social, engine)
+        slow = _run(
+            small_social, engine, reference=True, arena=False,
+            compact_layout=False,
+        )
         _assert_identical(fast, slow, engine)
 
     def test_initial_labels_outside_int32_fall_back_to_wide(self, triangle):
@@ -177,7 +189,7 @@ class TestFusedSteadyStateAllocations:
 
     def test_fused_hashtable_steady_state(self):
         graph = web_graph(1200, avg_degree=6, seed=3).with_compact_layout()
-        config = LPAConfig(pruning=False, fused_sweep=True)
+        config = LPAConfig(pruning=False)
         eng = make_engine(graph, config, "hashtable")
         frontier = Frontier(graph, enabled=False, arena=eng.arena)
         labels = np.arange(graph.num_vertices, dtype=VERTEX_DTYPE)

@@ -4,10 +4,11 @@ The arena's contract is that it only changes *where scratch memory comes
 from*, never what is computed: every hot-path function runs the same
 arithmetic on arena slots or on fresh ``np.empty`` buffers.  These tests
 pin that contract across both engines, every probing strategy, and
-pruning on/off — labels, per-iteration stats, and every kernel counter
-must match exactly — and verify the performance half of the bargain with
-``tracemalloc``: a warmed engine re-running a converged workload performs
-no array allocation on the hot path.
+pruning on/off — production against engines built with no arena
+(:func:`tests.reference_sweep.no_arena`); labels, per-iteration stats,
+and every kernel counter must match exactly — and verify the performance
+half of the bargain with ``tracemalloc``: a warmed engine re-running a
+converged workload performs no array allocation on the hot path.
 """
 
 import tracemalloc
@@ -21,18 +22,17 @@ from repro.core.pruning import Frontier
 from repro.graph.generators import rmat_graph, web_graph
 from repro.hashing.probing import ProbeStrategy
 from repro.types import VERTEX_DTYPE
+from tests.reference_sweep import no_arena
 
 ENGINES = ["vectorized", "hashtable"]
 
 
-def _run(graph, engine, **config_kwargs):
-    result = nu_lpa(
-        graph,
-        LPAConfig(**config_kwargs),
-        engine=engine,
-        warn_on_no_convergence=False,
-    )
-    return result
+def _run(graph, engine, *, arena=True, **config_kwargs):
+    config = LPAConfig(**config_kwargs)
+    if arena:
+        return nu_lpa(graph, config, engine=engine, warn_on_no_convergence=False)
+    with no_arena():
+        return nu_lpa(graph, config, engine=engine, warn_on_no_convergence=False)
 
 
 def _assert_identical(a, b, context):
@@ -49,20 +49,20 @@ class TestArenaDifferential:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("pruning", [True, False])
     def test_bit_identical_labels_and_counters(self, small_web, engine, pruning):
-        on = _run(small_web, engine, workspace_arena=True, pruning=pruning)
-        off = _run(small_web, engine, workspace_arena=False, pruning=pruning)
+        on = _run(small_web, engine, pruning=pruning)
+        off = _run(small_web, engine, arena=False, pruning=pruning)
         _assert_identical(on, off, f"{engine}, pruning={pruning}")
 
     @pytest.mark.parametrize("probing", list(ProbeStrategy))
     def test_bit_identical_across_probing_strategies(self, small_social, probing):
-        on = _run(small_social, "hashtable", workspace_arena=True, probing=probing)
-        off = _run(small_social, "hashtable", workspace_arena=False, probing=probing)
+        on = _run(small_social, "hashtable", probing=probing)
+        off = _run(small_social, "hashtable", arena=False, probing=probing)
         _assert_identical(on, off, probing.value)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bit_identical_with_fp64_values(self, small_web, engine):
-        on = _run(small_web, engine, workspace_arena=True, value_dtype=np.float64)
-        off = _run(small_web, engine, workspace_arena=False, value_dtype=np.float64)
+        on = _run(small_web, engine, value_dtype=np.float64)
+        off = _run(small_web, engine, arena=False, value_dtype=np.float64)
         _assert_identical(on, off, engine)
 
 
@@ -138,8 +138,9 @@ class TestSteadyStateAllocations:
     def test_arena_off_allocates_plenty(self):
         """Control: the same fixed-point workload without the arena."""
         graph = web_graph(1200, avg_degree=6, seed=3)
-        config = LPAConfig(pruning=False, workspace_arena=False)
-        eng = make_engine(graph, config, "vectorized")
+        config = LPAConfig(pruning=False)
+        with no_arena():
+            eng = make_engine(graph, config, "vectorized")
         labels, frontier = _converge(eng, graph, config)
 
         tracemalloc.start()

@@ -11,6 +11,7 @@ from repro.graph.generators import web_graph
 from repro.integrity import IntegrityConfig, IntegrityGuard
 from repro.integrity.guard import array_crc32
 from repro.observe.trace import Tracer
+from repro.types import EMPTY_KEY
 
 
 @pytest.fixture(scope="module")
@@ -110,37 +111,37 @@ class TestSpotAudit:
         assert guard.spot_audits == 1
 
     def test_fused_sweep_leaves_tables_clean(self, graph):
-        # The fused sweep (default) re-empties every claimed slot at the
-        # end of the wave, so there is no inter-wave residue to audit —
-        # the spot audit sees clean tables by construction.
-        engine = HashtableEngine(graph, LPAConfig(fused_sweep=True))
+        # The fused sweep re-empties every claimed slot at the end of the
+        # wave, so there is no inter-wave residue to audit — the spot
+        # audit sees clean tables by construction.
+        engine = HashtableEngine(graph, LPAConfig())
         labels = np.arange(graph.num_vertices, dtype=np.int64)
         engine.move(labels, Frontier(graph), pick_less=False, iteration=0)
-        assert not np.any(engine.tables.keys >= 0)
+        assert np.all(engine.tables.keys == EMPTY_KEY)
+        assert not np.any(engine.tables.values)
+
+    def _moved_engine(self, graph) -> HashtableEngine:
+        engine = HashtableEngine(graph, LPAConfig())
+        labels = np.arange(graph.num_vertices, dtype=np.int64)
+        engine.move(labels, Frontier(graph), pick_less=False, iteration=0)
+        return engine
 
     def test_out_of_range_key_detected(self, graph):
         guard = _guard(graph, spot_audit_slots=10_000)
-        # The unfused path clears tables lazily (at the start of the next
-        # wave), leaving occupied residue for the audit to sample.
-        engine = HashtableEngine(graph, LPAConfig(fused_sweep=False))
-        labels = np.arange(graph.num_vertices, dtype=np.int64)
-        engine.move(labels, Frontier(graph), pick_less=False, iteration=0)
-        # The audit samples slots with replacement; corrupt every occupied
-        # slot so any draw that lands on one trips it.
-        keys = engine.tables.keys
-        assert np.any(keys >= 0)
-        keys[keys >= 0] = graph.num_vertices + 99
+        engine = self._moved_engine(graph)
+        # Plant the corruption in the at-rest tables: the audit samples
+        # slots with replacement, so corrupt every slot and any draw
+        # trips it.
+        engine.tables.keys[:] = graph.num_vertices + 99
         with pytest.raises(IntegrityError, match="spot"):
             guard._spot_audit(engine, graph.num_vertices, iteration=0)
 
     def test_non_finite_value_detected(self, graph):
         guard = _guard(graph, spot_audit_slots=10_000)
-        engine = HashtableEngine(graph, LPAConfig(fused_sweep=False))
-        labels = np.arange(graph.num_vertices, dtype=np.int64)
-        engine.move(labels, Frontier(graph), pick_less=False, iteration=0)
-        occupied = np.flatnonzero(engine.tables.keys >= 0)
-        assert occupied.size
-        engine.tables.values[occupied] = np.nan
+        engine = self._moved_engine(graph)
+        # Occupied slots (in-range key) holding a non-finite value.
+        engine.tables.keys[:] = 0
+        engine.tables.values[:] = np.nan
         with pytest.raises(IntegrityError, match="spot"):
             guard._spot_audit(engine, graph.num_vertices, iteration=0)
 

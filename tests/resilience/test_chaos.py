@@ -123,3 +123,19 @@ class TestSoak:
         doc = json.loads(json.dumps(report.as_dict()))
         assert doc["ok"] is True
         assert len(doc["records"]) == 2
+
+
+class TestRegrowResume:
+    def test_schedule_56_resumes_at_the_regrown_capacity(self, tmp_path):
+        # The soak's own graph at scale 0.1, seed 42.  Schedule 56 takes
+        # the regrow rung in iteration 0, so the reference run's tables
+        # sit at capacity_scale 2; the resumed run must continue there
+        # too, or slot order breaks max-reduce ties differently.
+        graph = web_graph(480, seed=42)
+        report = run_chaos_soak(
+            graph, tmp_path, schedules=1, seed=56,
+            config=LPAConfig(max_iterations=15),
+        )
+        (record,) = report.records
+        assert record.crash_fired
+        assert record.identical, report.summary()

@@ -48,6 +48,7 @@ class TestFormat:
             ],
             injector_fires=3,
             last_pl_fraction=0.25,
+            capacity_scale=2,
         )
         path = mgr.save(state)
         assert path.name == "ckpt-000007.npz"
@@ -59,9 +60,28 @@ class TestFormat:
         assert loaded.converged is True
         assert loaded.injector_fires == 3
         assert loaded.last_pl_fraction == 0.25
+        assert loaded.capacity_scale == 2
         assert len(loaded.stats) == 1
         assert loaded.stats[0].changed == 5
         assert loaded.stats[0].reverted == 1
+
+    def test_meta_without_capacity_scale_loads_at_paper_scale(self, tmp_path):
+        import json
+
+        path = CheckpointManager(tmp_path).save(CheckpointState(
+            labels=np.arange(4, dtype=np.int64),
+            flags=np.ones(4, dtype=np.uint8),
+            iteration=1,
+            digest="d",
+        ))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        del meta["capacity_scale"]  # written before the field existed
+        arrays["meta"] = np.array(json.dumps(meta))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert CheckpointManager.load(path).capacity_scale == 1
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         mgr = CheckpointManager(tmp_path)

@@ -193,3 +193,63 @@ class TestBitflip:
             return keys
 
         assert np.array_equal(run(), run())
+
+
+class TestFaultsOnFusedSweep:
+    """Injected corruption lands on the production sweep's buffers."""
+
+    @pytest.mark.parametrize("kind", ["bitflip", "sdc"])
+    @pytest.mark.parametrize(
+        "grow, branch",
+        # Tables at the paper's size are dense enough for the segmented
+        # branch; regrown (4x) tables are sparse enough for the sorted one.
+        [(0, "segmented_max_key"), (2, "fused_max_and_clear")],
+    )
+    def test_corrupted_slots_reach_the_fused_reduce(
+        self, monkeypatch, small_web, kind, grow, branch
+    ):
+        from repro.core import engine_hashtable
+        from repro.core.pruning import Frontier
+
+        engine = engine_hashtable.HashtableEngine(small_web, LPAConfig())
+        for _ in range(grow):
+            engine.grow_tables()
+        injector = FaultInjector(
+            FaultSpec(kinds=(kind,), targets=("keys", "values"))
+        )
+
+        corrupted = []  # slots the firing changed
+        reduced = []    # (branch, were they among the claimed slots?)
+
+        def fire(ctx):
+            keys, bits = ctx.keys.copy(), ctx.values.view(np.uint32).copy()
+            injector(ctx)
+            changed = np.flatnonzero(
+                (ctx.keys != keys) | (ctx.values.view(np.uint32) != bits)
+            )
+            if changed.shape[0]:
+                corrupted.append(changed)
+
+        def spy(name):
+            real = getattr(engine_hashtable, name)
+
+            def reduce(*args, **kwargs):
+                if len(corrupted) > len(reduced):
+                    slots, _ = engine._tracker.views()
+                    reduced.append((name, bool(np.isin(corrupted[-1], slots).all())))
+                return real(*args, **kwargs)
+
+            return reduce
+
+        for name in ("fused_max_and_clear", "segmented_max_key"):
+            monkeypatch.setattr(engine_hashtable, name, spy(name))
+        engine.fault_hook = fire
+        assert injector.arm(0, 0) == kind
+        labels = np.arange(small_web.num_vertices, dtype=np.int64)
+        engine.move(labels, Frontier(small_web), pick_less=False, iteration=0)
+
+        assert injector.fires == 1 and len(corrupted) == 1
+        assert reduced == [(branch, True)]
+        # The sweep re-cleared the corrupted slots with the rest.
+        assert np.all(engine.tables.keys == EMPTY_KEY)
+        assert not np.any(engine.tables.values)

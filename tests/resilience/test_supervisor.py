@@ -157,3 +157,40 @@ class TestInvariantEnforcement:
             ResilienceConfig(max_retries=-1)
         with pytest.raises(ConfigurationError):
             ResilienceConfig(resume=True)  # resume requires checkpoint_dir
+
+    def test_value_bitflip_caught_by_per_wave_finite_check(self, small_web):
+        # The fused sweep re-clears each wave's tables before the move
+        # returns, so the finite-value check must run inside the wave.
+        clean = nu_lpa(small_web, engine="hashtable", warn_on_no_convergence=False)
+        spec = FaultSpec(kinds=("bitflip",), targets=("values",), rate=0.5, seed=2)
+        r = nu_lpa(
+            small_web, engine="hashtable", warn_on_no_convergence=False,
+            resilience=ResilienceConfig(faults=spec),
+        )
+        assert any("finite-values" in e.detail for e in r.fault_events)
+        assert np.array_equal(r.labels, clean.labels)
+
+    def test_wave_hook_attached_only_when_needed(self, small_web):
+        from repro.resilience.supervisor import KernelSupervisor
+
+        def hook(engine, **res):
+            eng = make_engine(small_web, LPAConfig(), engine)
+            KernelSupervisor(eng, small_web, LPAConfig(), ResilienceConfig(**res))
+            return eng.fault_hook
+
+        assert hook("hashtable") is not None
+        assert hook("hashtable", deep_checks=False) is None
+        assert hook("vectorized") is None
+        assert hook("vectorized", faults=FaultSpec()) is not None
+
+
+class TestRestoreState:
+    def test_tables_follow_the_checkpoint_capacity_scale(self, small_web):
+        from repro.resilience.supervisor import KernelSupervisor
+
+        eng = make_engine(small_web, LPAConfig(), "hashtable")
+        sup = KernelSupervisor(eng, small_web, LPAConfig(), ResilienceConfig())
+        sup.restore_state(injector_fires=0, last_pl_fraction=None, capacity_scale=4)
+        assert eng.tables.capacity_scale == 4 == sup.capacity_scale
+        sup.restore_state(injector_fires=0, last_pl_fraction=None, capacity_scale=1)
+        assert eng.tables.capacity_scale == 1
