@@ -39,8 +39,10 @@ from repro.observe.trace import (
     counter_delta,
 )
 from repro.hashing.hashtable import PerVertexHashtables
+# ``segmented_max_key`` is not called here; it stays bound at this module
+# attribute because the benchmark's traced run wraps every reduce function
+# by its name in this module.
 from repro.hashing.parallel_hashtable import (
-    SlotTracker,
     fused_max_and_clear,
     parallel_accumulate,
     segmented_clear,
@@ -49,7 +51,6 @@ from repro.hashing.parallel_hashtable import (
 from repro.hashing.probing import ProbeStrategy
 from repro.perf.workspace import WorkspaceArena, compact, iota, take
 from repro.resilience.faults import FaultContext
-from repro.types import EMPTY_KEY
 
 __all__ = ["MoveOutcome", "HashtableEngine"]
 
@@ -107,10 +108,6 @@ class HashtableEngine:
         self.tables = PerVertexHashtables(
             graph, value_dtype=config.value_dtype, strategy=config.probing
         )
-        # Fused sweep: the accumulate rounds record their claimed slots
-        # here so one fused pass can reduce and re-clear them (the flat
-        # buffers start all-empty, so no up-front clear is needed either).
-        self._tracker = SlotTracker()
         # Persistent-kernel mode: kinds whose one-time launch cost has
         # been paid (each kernel stays resident after its first launch).
         self._launched: set[KernelKind] = set()
@@ -186,7 +183,6 @@ class HashtableEngine:
             except Exception:
                 self.tables = build(old_scale)
                 governor.reserve("hashtable", freed)
-                self._tracker.reset()
                 raise
         self.tables = tables
         #: Byte report of the newest regrow/shrink (the ledger's receipt).
@@ -195,9 +191,6 @@ class HashtableEngine:
             "freed_bytes": freed,
             "claimed_bytes": claimed,
         }
-        # The fresh buffers are all-empty; stale claims must not be
-        # re-cleared (or reduced) against the new layout.
-        self._tracker.reset()
         return scale
 
     def release_memory(self) -> int:
@@ -389,10 +382,9 @@ class HashtableEngine:
 
         # Fused sweep: tables are already clean (the init fill / the
         # previous wave's clear-at-end), so there is no up-front clear;
-        # the accumulate records its claimed slots and the reduce
-        # re-clears exactly those.  The kernel model still prices the
-        # full per-table clear the GPU's fused kernel does in-register.
-        tracker = self._tracker
+        # the reduce reads and re-clears exactly the entries' slots.  The
+        # kernel model still prices the full per-table clear the GPU's
+        # fused kernel does in-register.
         cleared = int(p1.sum())
         try:
             acc = parallel_accumulate(
@@ -407,7 +399,6 @@ class HashtableEngine:
                 self.config.probing,
                 shared=kind.uses_atomics,
                 arena=arena,
-                claimed=tracker,
             )
             warp_serial = self._warp_critical_path(
                 kind, wave, entry_table, edge_rank, acc.entry_probes
@@ -421,42 +412,21 @@ class HashtableEngine:
             fallback = take(arena, "hw.fb", w, labels.dtype)
             labels.take(wave, out=fallback, mode="clip")
             best = take(arena, "hw.best", w, labels.dtype)
-            if 4 * len(tracker) < cleared:
-                fused_max_and_clear(
-                    self.tables.keys,
-                    self.tables.values,
-                    fallback,
-                    tracker,
-                    arena=arena,
-                    out=best,
-                )
-            else:
-                # Dense tables (claimed ≳ 1/4 of the live region): the
-                # packed sort costs more than a straight segmented scan,
-                # so reduce segment-wise and restore the clean-tables
-                # invariant by scattering only the claimed slots.  Both
-                # branches yield bit-identical labels; the threshold is
-                # purely a speed heuristic.
-                segmented_max_key(
-                    self.tables.keys,
-                    self.tables.values,
-                    base,
-                    p1,
-                    fallback,
-                    arena=arena,
-                    out=best,
-                )
-                slots, _ = tracker.views()
-                self.tables.keys[slots] = EMPTY_KEY
-                self.tables.values[slots] = 0
-                tracker.reset()
+            fused_max_and_clear(
+                self.tables.keys,
+                self.tables.values,
+                fallback,
+                entry_table,
+                acc.entry_slot,
+                arena=arena,
+                out=best,
+            )
         except BaseException:
             # Aborted wave (overflow, injected fault, arena OOM): every
             # claimed slot lies in this wave's tables, so clearing them
             # whole hands the ladder clean tables (on fresh scratch, so
             # the governor cannot refuse it).
             segmented_clear(self.tables.keys, self.tables.values, base, p1)
-            tracker.reset()
             raise
 
         adopt = pick_less_filter(

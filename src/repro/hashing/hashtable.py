@@ -163,7 +163,7 @@ class PerVertexHashtables:
             )
             probe_i, di = nxt_i[0], nxt_di[0]
         raise HashtableFullError(
-            f"vertex {i}: key {key} found no slot in {MAX_RETRIES} probes "
+            f"vertex {i}: key {key} found no slot in {retries} probes "
             f"(p1={t.p1}, strategy={self.strategy.value})"
         )
 

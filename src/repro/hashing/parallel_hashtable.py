@@ -14,18 +14,34 @@ work rather than O(total probes) Python iterations — this is the trick
 that makes a pure-Python "GPU" tolerable (see the HPC guides: vectorise the
 loop over data, keep the loop over *rounds*).
 
-The round structure also yields the exact statistics the cost model needs:
-per-entry probe counts (memory traffic), CAS/add counts (atomic
-contention), and per-warp round counts (lockstep divergence — a warp is as
-slow as its unluckiest lane).
+A wave is settled per entry, not per round.  Entries with the same
+(table, key) pair follow one probe sequence, so they read the same slot in
+every round and land together — in one round, in lane order — in the slot
+their group claimed, where no other group ever lands.  A probe round
+therefore only probes and claims, recording each entry's slot; everything
+else follows from those final slots in one pass at the end of the wave:
+
+* the ``atomicAdd``\\ s are one lane-order ``np.add.at`` — each slot's adds
+  come from one group in lane order, so the float sums are bit-identical
+  to adding round by round;
+* every entry adds exactly once, so ``atomic_adds`` is the entry count,
+  and each occupied slot takes all its adds in one round, so the per-round
+  conflicts (adds minus distinct slots) sum to entries minus occupied
+  slots;
+* :func:`fused_max_and_clear` reduces and re-clears each table through its
+  entries' slots, which are exactly the table's occupied slots.
+
+The round structure also yields the per-entry probe counts the cost model
+needs (memory traffic and, in the engine, lockstep divergence — a warp is
+as slow as its unluckiest lane).
 
 Every function takes an optional :class:`~repro.perf.workspace.
 WorkspaceArena`; with one attached the whole wave runs without heap
 allocation (slot prefixes: ``pa.`` accumulate, ``seg.`` segment indexing,
-``smk.`` max-key, ``fz.`` fused sweep).  Results are bit-identical either
-way — two details are
-load-bearing and argued inline: the reversed-scatter CAS winner and the
-sorted-run conflict count, each of which replaces an ``np.unique``.
+``smk.`` max-key, ``fz.`` fused reduce).  Results are bit-identical either
+way.  Two scatters lean on the last write to a slot winning, as argued
+inline: the reversed-scatter CAS winner, which replaces an ``np.unique``,
+and the reduce's per-table run ends.
 """
 
 from __future__ import annotations
@@ -41,7 +57,6 @@ from repro.perf.workspace import WorkspaceArena, compact, iota, take
 from repro.types import EMPTY_KEY
 
 __all__ = [
-    "SlotTracker",
     "WaveAccumulateResult",
     "fused_max_and_clear",
     "parallel_accumulate",
@@ -51,9 +66,6 @@ __all__ = [
 ]
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
-
-#: Minimum SlotTracker backing capacity; avoids churn on tiny waves.
-_MIN_TRACKER_CAPACITY = 16
 
 #: Two's-complement int64 wraparound constants for the scalar tail.
 _U64_SPAN = 1 << 64
@@ -67,65 +79,13 @@ _I64_BIAS = 1 << 63
 _SCALAR_TAIL_MAX = 32
 
 
-class SlotTracker:
-    """Append-only record of the flat slots a wave's accumulate claimed.
-
-    The fused sweep (:func:`fused_max_and_clear`) needs to know which
-    slots hold data without re-scanning every live slot of every table.
-    Because tables start clean and only an ``atomicCAS`` ever writes a
-    key, the occupied set after accumulation is exactly the set of slots
-    the CAS rounds claimed — :func:`parallel_accumulate` appends them
-    here as they happen.  Within-round duplicates (several lanes racing
-    for one slot) are recorded as-is; they are harmless to both the
-    reduction and the clear, and cross-round duplicates are impossible
-    because a claimed slot never reads as empty again.
-
-    The backing arrays grow geometrically and are reused across waves
-    (``reset`` just rewinds the count), so steady-state appends are
-    plain slice assignments with no heap allocation.
-    """
-
-    __slots__ = ("_slots", "_tables", "_count")
-
-    def __init__(self) -> None:
-        self._slots = np.empty(_MIN_TRACKER_CAPACITY, dtype=np.int64)
-        self._tables = np.empty(_MIN_TRACKER_CAPACITY, dtype=np.int64)
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def append(self, slots: np.ndarray, tables: np.ndarray) -> None:
-        """Record ``slots`` (flat buffer indices) claimed for ``tables``."""
-        n = slots.shape[0]
-        need = self._count + n
-        if need > self._slots.shape[0]:
-            capacity = max(need, 2 * self._slots.shape[0])
-            grown_slots = np.empty(capacity, dtype=np.int64)
-            grown_slots[: self._count] = self._slots[: self._count]
-            grown_tables = np.empty(capacity, dtype=np.int64)
-            grown_tables[: self._count] = self._tables[: self._count]
-            self._slots, self._tables = grown_slots, grown_tables
-        self._slots[self._count : need] = slots
-        self._tables[self._count : need] = tables
-        self._count = need
-
-    def views(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(slots, tables)`` views of everything recorded."""
-        return self._slots[: self._count], self._tables[: self._count]
-
-    def reset(self) -> None:
-        """Forget all recorded slots (buffers are kept for reuse)."""
-        self._count = 0
-
-
 @dataclass
 class WaveAccumulateResult:
     """Statistics from one wave of parallel hashtable accumulation.
 
-    When the wave ran on an arena, ``entry_probes`` and ``warp_max_probes``
-    are scratch views — valid until the next ``parallel_accumulate`` call
-    on the same arena; copy them to keep them longer.
+    When the wave ran on an arena, ``entry_probes`` and ``entry_slot`` are
+    scratch views — valid until the next ``parallel_accumulate`` call on
+    the same arena; copy them to keep them longer.
     """
 
     #: Total probes across all entries (each slot inspection counts once).
@@ -139,35 +99,31 @@ class WaveAccumulateResult:
     #: Extra serialisation from atomics landing on one slot in the same
     #: round (sum over slots of multiplicity - 1); shared tables only.
     atomic_conflicts: int = 0
-    #: Per-warp maximum probe count — lockstep divergence cost; empty when
-    #: no warp mapping was supplied.
-    warp_max_probes: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
     #: Probe count of every entry, in input order — callers aggregate these
     #: into per-lane critical paths (the engine's divergence accounting).
     entry_probes: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
+    #: Flat buffer slot each entry's value landed in, in input order.
+    entry_slot: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64)
     )
 
 
 def _scalar_tail(
     keys_buf: np.ndarray,
-    values_buf: np.ndarray,
     keys: np.ndarray,
-    entry_table: np.ndarray,
-    entry_value: np.ndarray,
     probe_i: np.ndarray,
     probe_di: np.ndarray,
+    step_add: np.ndarray | None,
     p1_of: np.ndarray,
-    p2_of: np.ndarray,
     base_of: np.ndarray,
     pending: np.ndarray,
     probes_done: np.ndarray,
+    entry_slot: np.ndarray,
     result: WaveAccumulateResult,
     strategy: ProbeStrategy,
     shared: bool,
-    claimed: "SlotTracker | None",
     start_round: int,
     max_retries: int,
 ) -> None:
@@ -177,14 +133,12 @@ def _scalar_tail(
     few entries remain, and the completeness-fallback tails run hundreds
     of rounds with a handful of stragglers — most of a long wave's Python
     time.  This loop performs the *same* per-round arithmetic in the same
-    order: the CAS winner is the first entry in lane order, ``atomicAdd``
-    applies in lane order (so float accumulation order is preserved), and
-    every counter update matches the vectorised round exactly — labels,
-    counters, and probe statistics are bit-identical either way.
+    order: the CAS winner is the first entry in lane order, and every
+    entry's slot, probe count and the CAS count match the vectorised
+    round exactly.
     """
-    # Per-entry state as plain Python scalars: [entry, key, i, di, p1, p2,
-    # base, table, value].  The value stays a NumPy scalar so the adds run
-    # in the buffer's dtype, exactly like ``np.add.at``.
+    # Per-entry state as plain Python scalars: [entry, key, i, di, p1,
+    # k mod p2 (quadratic-double only), base].
     state = [
         [
             e,
@@ -192,88 +146,91 @@ def _scalar_tail(
             int(probe_i[e]),
             int(probe_di[e]),
             int(p1_of[e]),
-            int(p2_of[e]),
+            0 if step_add is None else int(step_add[e]),
             int(base_of[e]),
-            int(entry_table[e]),
-            entry_value[e],
         ]
         for e in pending.tolist()
     ]
-    quad = strategy is ProbeStrategy.QUADRATIC
-    quad_double = strategy is ProbeStrategy.QUADRATIC_DOUBLE
+    doubling = strategy in (ProbeStrategy.QUADRATIC, ProbeStrategy.QUADRATIC_DOUBLE)
     empty = int(EMPTY_KEY)
-    claimed_slots: list[int] = []
-    claimed_tables: list[int] = []
+    read = keys_buf.item
     round_no = start_round
-    try:
-        while True:
-            if round_no > max_retries:
-                raise HashtableFullError(
-                    f"{len(state)} entries unplaced after {max_retries} "
-                    f"probe rounds (strategy={strategy.value})"
-                )
-            result.total_probes += len(state)
-            result.rounds = round_no
-            num_empty = 0
-            slots = []
-            placed: dict[int, int] = {}
-            for ent in state:
-                s = ent[6] + ent[2] % ent[4]
-                slots.append(s)
-                probes_done[ent[0]] = round_no
-                if int(keys_buf[s]) == empty:
-                    num_empty += 1
-                    if s not in placed:
-                        placed[s] = ent[1]
-                    if claimed is not None:
-                        claimed_slots.append(s)
-                        claimed_tables.append(ent[7])
-            for s, key in placed.items():
-                keys_buf[s] = key
-            if shared:
-                result.cas_attempts += num_empty
-
-            retry = []
-            succ_slots = []
-            for ent, s in zip(state, slots):
-                if int(keys_buf[s]) == ent[1]:
-                    values_buf[s] += ent[8]
-                    succ_slots.append(s)
-                else:
-                    retry.append(ent)
-            ns = len(succ_slots)
-            if shared and ns:
-                result.atomic_adds += ns
-                result.atomic_conflicts += ns - len(set(succ_slots))
-            if not retry:
-                return
-
-            for ent in retry:
-                i, di = ent[2], ent[3]
-                if quad_double:
-                    nd = 2 * di + ent[1] % ent[5]
-                elif quad:
-                    nd = 2 * di
-                else:
-                    nd = di
-                # Completeness fallback: step-1 linear sweep after p1 probes.
-                ni = i + 1 if ent[4] <= round_no else i + di
-                # The vectorised rounds run int64 arithmetic, which wraps
-                # after ~60 doubling rounds; Python ints don't, so emulate
-                # the wrap (floor-mod keeps negative i valid in the slot
-                # computation, same as np.remainder).
-                ent[2] = (ni + _I64_BIAS) % _U64_SPAN - _I64_BIAS
-                ent[3] = (nd + _I64_BIAS) % _U64_SPAN - _I64_BIAS
-            state = retry
-            round_no += 1
-    finally:
-        # Flush even when raising HashtableFullError: the engine's scrub
-        # path re-empties exactly the tracker's slots.
-        if claimed is not None and claimed_slots:
-            claimed.append(
-                np.asarray(claimed_slots, dtype=np.int64),
-                np.asarray(claimed_tables, dtype=np.int64),
+    while True:
+        if round_no > max_retries:
+            raise HashtableFullError(
+                f"{len(state)} entries unplaced after {max_retries} "
+                f"probe rounds (strategy={strategy.value})"
             )
+        result.rounds = round_no
+        num_empty = 0
+        slots = []
+        seen = []  # each slot's key once this round's CAS commits
+        placed: dict[int, int] = {}
+        for ent in state:
+            s = ent[6] + ent[2] % ent[4]
+            key = read(s)
+            if key == empty:
+                num_empty += 1
+                key = placed.setdefault(s, ent[1])
+            slots.append(s)
+            seen.append(key)
+        for s, key in placed.items():
+            keys_buf[s] = key
+        if shared:
+            result.cas_attempts += num_empty
+
+        # Only an entry's final round is recorded: its probe count and
+        # slot (an unplaced entry's are never read — the wave raises).
+        retry = []
+        for ent, s, key in zip(state, slots, seen):
+            if key == ent[1]:
+                probes_done[ent[0]] = round_no
+                entry_slot[ent[0]] = s
+            else:
+                retry.append(ent)
+        if not retry:
+            return
+
+        for ent in retry:
+            i, di = ent[2], ent[3]
+            nd = 2 * di + ent[5] if doubling else di
+            # Completeness fallback: step-1 linear sweep after p1 probes.
+            ni = i + 1 if ent[4] <= round_no else i + di
+            # The vectorised rounds run int64 arithmetic, which wraps
+            # after ~60 doubling rounds; Python ints don't, so emulate
+            # the wrap (floor-mod keeps negative i valid in the slot
+            # computation, same as np.remainder).
+            ent[2] = (ni + _I64_BIAS) % _U64_SPAN - _I64_BIAS
+            ent[3] = (nd + _I64_BIAS) % _U64_SPAN - _I64_BIAS
+        state = retry
+        round_no += 1
+
+
+def _distinct_slots(
+    entry_table: np.ndarray,
+    entry_slot: np.ndarray,
+    table_base: np.ndarray,
+    table_p1: np.ndarray,
+    arena: WorkspaceArena | None,
+) -> int:
+    """Number of distinct slots in ``entry_slot`` (the occupied slots).
+
+    Marks each entry's slot in a bitmap of the wave's live slots, laid out
+    table after table (``cum_p1[t] + slot - base[t]``).
+    """
+    nt = table_p1.shape[0]
+    shift = take(arena, "pa.shift", nt, np.int64)
+    shift[0] = 0
+    np.cumsum(table_p1[:-1], out=shift[1:])
+    total = int(shift[-1]) + int(table_p1[-1])
+    np.subtract(shift, table_base, out=shift)
+    local = take(arena, "pa.local", entry_slot.shape[0], np.int64)
+    shift.take(entry_table, out=local, mode="clip")
+    np.add(local, entry_slot, out=local)
+    seen = take(arena, "pa.seen", total, bool)
+    seen[:] = False
+    seen[local] = True
+    return int(np.count_nonzero(seen))
 
 
 def parallel_accumulate(
@@ -288,11 +245,8 @@ def parallel_accumulate(
     strategy: ProbeStrategy = ProbeStrategy.QUADRATIC_DOUBLE,
     *,
     shared: bool = True,
-    entry_warp: np.ndarray | None = None,
-    num_warps: int = 0,
     max_retries: int = MAX_RETRIES,
     arena: WorkspaceArena | None = None,
-    claimed: SlotTracker | None = None,
 ) -> WaveAccumulateResult:
     """Accumulate all ``(entry_key, entry_value)`` pairs into their tables.
 
@@ -313,22 +267,15 @@ def parallel_accumulate(
         for the thread-per-vertex kernel, where a single lane owns each
         table so the CAS degenerates to a plain store — the slot outcome is
         identical, only the atomic counters differ.
-    entry_warp, num_warps:
-        Optional mapping of entries to simulated warps for divergence
-        accounting.
     arena:
         Optional scratch arena (``pa.`` slots) for allocation-free rounds.
-    claimed:
-        Optional :class:`SlotTracker`; when given, every slot an
-        ``atomicCAS`` claims is appended (with its wave-local table id)
-        so :func:`fused_max_and_clear` can reduce and re-clear exactly
-        the occupied slots.  The accumulate arithmetic — and therefore
-        every statistic — is unchanged by the tracker.
+
+    The probe rounds only claim slots; the value adds and the atomic
+    counters are settled from the entries' final slots after the last
+    round (see the module docstring for why that is bit-identical).
     """
     n = entry_key.shape[0]
     result = WaveAccumulateResult()
-    if entry_warp is not None:
-        result.warp_max_probes = np.zeros(num_warps, dtype=np.int64)
     if n == 0:
         return result
 
@@ -340,50 +287,61 @@ def parallel_accumulate(
     # Per-entry layout (saves re-indexing the table arrays every round).
     p1_of = take(arena, "pa.p1of", n, np.int64)
     table_p1.take(entry_table, out=p1_of, mode="clip")
-    p2_of = take(arena, "pa.p2of", n, np.int64)
-    table_p2.take(entry_table, out=p2_of, mode="clip")
     base_of = take(arena, "pa.baseof", n, np.int64)
     table_base.take(entry_table, out=base_of, mode="clip")
 
     # Probe state (Algorithm 2 line 2: i <- k; di <- 1, except pure double
-    # hashing whose step is the per-key constant 1 + (k mod p2)).
+    # hashing whose step is the per-key constant 1 + (k mod p2)).  The
+    # quadratic-double step adds the per-key constant k mod p2 every
+    # round, so it is computed once per entry.
     probe_i = take(arena, "pa.pi", n, np.int64)
     np.copyto(probe_i, keys)
     probe_di = take(arena, "pa.pdi", n, np.int64)
-    if strategy is ProbeStrategy.DOUBLE:
-        np.remainder(keys, p2_of, out=probe_di)
-        np.add(probe_di, 1, out=probe_di)
+    step_add = None
+    if strategy in (ProbeStrategy.DOUBLE, ProbeStrategy.QUADRATIC_DOUBLE):
+        kmod = take(arena, "pa.kmod", n, np.int64)
+        table_p2.take(entry_table, out=kmod, mode="clip")
+        np.remainder(keys, kmod, out=kmod)
+        if strategy is ProbeStrategy.DOUBLE:
+            np.add(kmod, 1, out=probe_di)
+        else:
+            probe_di[:] = 1
+            step_add = kmod
     else:
         probe_di[:] = 1
+    doubling = strategy in (ProbeStrategy.QUADRATIC, ProbeStrategy.QUADRATIC_DOUBLE)
 
     pending = iota(arena, n)  # read-only; retries compress into ping-pong slots
     probes_done = take(arena, "pa.done", n, np.int64)
-    probes_done[:] = 0
+    entry_slot = take(arena, "pa.slot", n, np.int64)
     if max_retries == MAX_RETRIES:
         # Enough for the completeness fallback to sweep the largest table.
         max_retries = max(MAX_RETRIES, 2 * int(table_p1.max(initial=1)) + 64)
+    # No entry can reach the completeness fallback before round min(p1).
+    min_p1 = int(table_p1.min())
 
     flip = False
     for round_no in range(1, max_retries + 1):
         num_pending = pending.shape[0]
         if num_pending <= _SCALAR_TAIL_MAX:
             _scalar_tail(
-                keys_buf, values_buf, keys, entry_table, entry_value,
-                probe_i, probe_di, p1_of, p2_of, base_of,
-                pending, probes_done, result, strategy, shared,
-                claimed, round_no, max_retries,
+                keys_buf, keys, probe_i, probe_di, step_add, p1_of, base_of,
+                pending, probes_done, entry_slot, result, strategy, shared,
+                round_no, max_retries,
             )
             break
         if round_no == 1:
             # First round: every entry is pending in order, so the per-round
             # "gather the pending entries' state" columns are the state
-            # arrays themselves — skip four identity gathers over the
-            # largest round.  They are only read below (the retry advance
-            # scatters into probe_i/probe_di directly), so aliasing is safe.
+            # arrays themselves — skip the identity gathers over the largest
+            # round.  They are only read below (the retry advance scatters
+            # into probe_i/probe_di directly), so aliasing is safe; the
+            # slots go straight into ``entry_slot``.
             k = keys
             pip = probe_i
             p1p = p1_of
             bp = base_of
+            slots = entry_slot
         else:
             k = take(arena, "pa.k", num_pending, np.int64)
             keys.take(pending, out=k, mode="clip")
@@ -393,11 +351,9 @@ def parallel_accumulate(
             p1_of.take(pending, out=p1p, mode="clip")
             bp = take(arena, "pa.bp", num_pending, np.int64)
             base_of.take(pending, out=bp, mode="clip")
-        slots = take(arena, "pa.slots", num_pending, np.int64)
+            slots = take(arena, "pa.slots", num_pending, np.int64)
         np.remainder(pip, p1p, out=slots)
         np.add(slots, bp, out=slots)
-
-        result.total_probes += num_pending
         # Every still-pending entry has probed exactly once per round, so
         # its count is simply the (1-based) round number — one scalar
         # scatter instead of the gather/add/scatter the GPU would do.
@@ -405,6 +361,7 @@ def parallel_accumulate(
             probes_done[:] = 1
         else:
             probes_done[pending] = round_no
+            entry_slot[pending] = slots
 
         current = take(arena, "pa.cur", num_pending, np.int64)
         keys_buf.take(slots, out=current, mode="clip")
@@ -413,79 +370,45 @@ def parallel_accumulate(
         num_empty = int(np.count_nonzero(empty))
 
         if num_empty:
-            # atomicCAS: among entries probing the same empty slot, the
-            # first in lane order wins and writes its key.  Scattering the
-            # competitors in *reverse* makes the earliest write land last,
-            # so the final buffer equals the unique-first-winner result
-            # without computing np.unique.
-            if claimed is None:
-                se, ke = compact(arena, "pa.se", empty, num_empty, slots, k)
-            else:
-                if round_no == 1:
-                    # First round: pending is the identity, so the table
-                    # column needs no gather.
-                    tp = entry_table
-                else:
-                    tp = take(arena, "pa.tp", num_pending, entry_table.dtype)
-                    entry_table.take(pending, out=tp, mode="clip")
-                se, ke, te = compact(
-                    arena, "pa.se", empty, num_empty, slots, k, tp
-                )
-                claimed.append(se, te)
-            keys_buf[se[::-1]] = ke[::-1]
+            # atomicCAS as a masked write-back: entries on an occupied slot
+            # write back the key they read (all of a slot's probers read
+            # the same value this round); entries on an empty slot write
+            # their own key.  Scattering in *reverse* makes the first lane
+            # on each slot land last, so the buffer holds the
+            # first-in-lane-order winner without computing np.unique.
+            np.putmask(current, empty, k)
+            keys_buf[slots[::-1]] = current[::-1]
             if shared:
                 result.cas_attempts += num_empty
             keys_buf.take(slots, out=current, mode="clip")  # re-read after CAS commits
 
-        success = take(arena, "pa.suc", num_pending, bool)
-        np.equal(current, k, out=success)
-        num_success = int(np.count_nonzero(success))
-        if num_success:
-            ev = take(arena, "pa.ev", num_pending, entry_value.dtype)
-            entry_value.take(pending, out=ev, mode="clip")
-            ss, sv = compact(arena, "pa.ss", success, num_success, slots, ev)
-            np.add.at(values_buf, ss, sv)
-            if shared:
-                result.atomic_adds += num_success
-                # conflicts = adds - distinct slots; count runs by sorting
-                # the slot scratch in place (ss is dead after the add.at).
-                ss.sort()
-                distinct = 1
-                if num_success > 1:
-                    db = take(arena, "pa.db", num_success - 1, bool)
-                    np.not_equal(ss[1:], ss[:-1], out=db)
-                    distinct += int(np.count_nonzero(db))
-                result.atomic_conflicts += num_success - distinct
-
+        still = np.not_equal(current, k, out=empty)
+        num_retry = int(np.count_nonzero(still))
         result.rounds = round_no
-        num_retry = num_pending - num_success
         if num_retry == 0:
             break
 
-        still = np.logical_not(success, out=success)
         # Advance the retrying entries (Algorithm 2 lines 17-18), inlined
         # from probing.probe_advance with in-place arithmetic.  The retry
         # list ping-pongs between two slots because ``pending`` (last
         # round's list) is still being read while this one is written.
-        retry, old_i = compact(
-            arena, "pa.pendB" if flip else "pa.pendA", still, num_retry,
-            pending, pip,
+        retry = compact(
+            arena, "pa.pendB" if flip else "pa.pendA", still, num_retry, pending
         )
         flip = not flip
+        old_i = take(arena, "pa.oi", num_retry, np.int64)
+        probe_i.take(retry, out=old_i, mode="clip")
         step = take(arena, "pa.dr", num_retry, np.int64)
         probe_di.take(retry, out=step, mode="clip")
         new_i = take(arena, "pa.ni", num_retry, np.int64)
         np.add(old_i, step, out=new_i)
-        if strategy is ProbeStrategy.QUADRATIC:
+        if doubling:  # quadratic: 2*di; quadratic-double: 2*di + k mod p2
             np.multiply(step, 2, out=step)
-        elif strategy is ProbeStrategy.QUADRATIC_DOUBLE:
-            np.multiply(step, 2, out=step)
-            kr = take(arena, "pa.kr", num_retry, np.int64)
-            keys.take(retry, out=kr, mode="clip")
-            p2r = take(arena, "pa.p2r", num_retry, np.int64)
-            p2_of.take(retry, out=p2r, mode="clip")
-            np.remainder(kr, p2r, out=kr)
-            np.add(step, kr, out=step)
+            if step_add is not None:
+                kr = take(arena, "pa.kr", num_retry, np.int64)
+                step_add.take(retry, out=kr, mode="clip")
+                np.add(step, kr, out=step)
+            probe_di[retry] = step
         # LINEAR and DOUBLE keep their step.
 
         # Completeness guard: with p1 = 2^k - 1 the doubling-based step
@@ -493,18 +416,17 @@ def parallel_accumulate(
         # strict subset of slots at high load.  After p1 strategy probes an
         # entry degrades to a step-1 linear sweep (re-forced every round),
         # which provably visits every slot within another p1 rounds
-        # (see DESIGN.md).
-        # (probes_done[retry] is round_no for every retrying entry, so the
-        # "probed >= p1" test needs only the p1 gather.)
-        p1r = take(arena, "pa.p1r", num_retry, np.int64)
-        p1_of.take(retry, out=p1r, mode="clip")
-        fb = take(arena, "pa.fbm", num_retry, bool)
-        np.less_equal(p1r, round_no, out=fb)
-        np.add(old_i, 1, out=old_i)
-        np.copyto(new_i, old_i, where=fb)
+        # (see DESIGN.md).  Every retrying entry has probed round_no times,
+        # so before round min(p1) no entry qualifies.
+        if round_no >= min_p1:
+            p1r = take(arena, "pa.p1r", num_retry, np.int64)
+            p1_of.take(retry, out=p1r, mode="clip")
+            fb = take(arena, "pa.fbm", num_retry, bool)
+            np.less_equal(p1r, round_no, out=fb)
+            np.add(old_i, 1, out=old_i)
+            np.copyto(new_i, old_i, where=fb)
 
         probe_i[retry] = new_i
-        probe_di[retry] = step
         pending = retry
     else:
         raise HashtableFullError(
@@ -512,9 +434,16 @@ def parallel_accumulate(
             f"rounds (strategy={strategy.value})"
         )
 
-    if entry_warp is not None and num_warps > 0:
-        np.maximum.at(result.warp_max_probes, entry_warp, probes_done)
+    # Settle the wave: every atomicAdd in lane order, then the counters.
+    np.add.at(values_buf, entry_slot, entry_value)
+    result.total_probes = int(probes_done.sum())
+    if shared:
+        result.atomic_adds = n
+        result.atomic_conflicts = n - _distinct_slots(
+            entry_table, entry_slot, table_base, table_p1, arena
+        )
     result.entry_probes = probes_done
+    result.entry_slot = entry_slot
     return result
 
 
@@ -647,110 +576,86 @@ def fused_max_and_clear(
     keys_buf: np.ndarray,
     values_buf: np.ndarray,
     fallback: np.ndarray,
-    tracker: SlotTracker,
+    entry_table: np.ndarray,
+    entry_slot: np.ndarray,
     *,
     arena: WorkspaceArena | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fused ``hashtableMaxKey`` + ``hashtableClear`` over the claimed slots.
+    """Fused ``hashtableMaxKey`` + ``hashtableClear`` over the entries' slots.
 
-    The fused-sweep kernel model: instead of scanning every live slot of
-    every wave table once to reduce (``segmented_max_key``) and once to
-    clear (``segmented_clear``), a single pass visits only the slots the
-    accumulate rounds claimed (recorded in ``tracker``), finds each
-    table's winner, and resets those slots to empty — restoring the
-    tables-start-clean invariant the next wave relies on.
+    ``entry_slot`` is :attr:`WaveAccumulateResult.entry_slot` of the wave
+    that filled the tables, and ``entry_table`` must be non-decreasing
+    (the engine's gather order is).  Tables started the wave clean and
+    only an entry's CAS writes a key, so a table's entries' slots are
+    exactly its occupied slots — the reduction sees the same values as a
+    scan of every live slot (``segmented_max_key``) and the clear restores
+    the same all-empty tables as ``segmented_clear``.
 
-    Bit-identity with the unfused pair: tables entered the wave clean and
-    only an ``atomicCAS`` writes a key, so the claimed set *is* the
-    occupied set; the unfused reduction masks vacant slots to ``-inf``
-    and therefore reduces over exactly the same values.  The tie-break
-    (lowest slot holding the maximum, in float64 comparison) is preserved
-    because within one table the absolute slot order equals the
-    within-table rank order.  Tables with no claimed slot, or whose
-    claimed values include a NaN (no value equals a NaN maximum), keep
-    ``fallback[t]`` — exactly as the unfused reduction does.
+    Per table: the key of the lowest slot holding the maximum value.  The
+    values are compared in the buffer's own float dtype: widening to
+    float64 is exact and keeps order and equality, so the winner is the
+    one the float64 compare of ``segmented_max_key`` picks.  A table with
+    no entries, or whose values include a NaN (no value equals a NaN
+    maximum), keeps ``fallback[t]``.
 
-    Sorting the ``(table, slot)`` pairs — packed into one int64 when the
-    bit widths allow, which they always do at simulatable sizes — groups
-    each table's slots contiguously so the winner falls out of two
-    ``reduceat`` calls, mirroring the unfused reduction's arithmetic.
-
-    ``tracker`` is reset before returning.  With an arena (``fz.``
-    slots) the whole pass is allocation-free.
+    With an arena (``fz.`` slots) the whole pass is allocation-free.
     """
     if out is None:
         out = np.empty_like(fallback)
     np.copyto(out, fallback)
-    ns = len(tracker)
-    if ns == 0:
-        tracker.reset()
+    n = entry_slot.shape[0]
+    if n == 0:
         return out
-    slots, tables = tracker.views()
 
-    sbits = int(keys_buf.shape[0] - 1).bit_length()
-    tbits = int(fallback.shape[0] - 1).bit_length()
-    if tbits + sbits <= 63:
-        comp = take(arena, "fz.comp", ns, np.int64)
-        np.left_shift(tables, np.int64(sbits), out=comp)
-        np.bitwise_or(comp, slots, out=comp)
-        comp.sort()
-        t = take(arena, "fz.t", ns, np.int64)
-        np.right_shift(comp, np.int64(sbits), out=t)
-        s = take(arena, "fz.s", ns, np.int64)
-        np.bitwise_and(comp, np.int64((1 << sbits) - 1), out=s)
-    else:  # pragma: no cover - needs a >2^63 packed id space
-        order = np.lexsort((slots, tables))
-        t = tables[order]
-        s = slots[order]
+    # Each table's run of entries: the forward scatter leaves one past
+    # the table's last entry (the last write wins); a table without
+    # entries keeps 0.  Each run starts where the previous one ends.
+    nt = fallback.shape[0]
+    ends = take(arena, "fz.end", nt, np.int64)
+    ends[:] = 0
+    ends[entry_table] = iota(arena, n + 1)[1:]
+    has_entries = take(arena, "fz.some", nt, bool)
+    np.not_equal(ends, 0, out=has_entries)
+    num_runs = int(np.count_nonzero(has_entries))
+    run_end, run_table = compact(
+        arena, "fz.run", has_entries, num_runs, ends, iota(arena, nt)
+    )
+    starts = take(arena, "fz.start", num_runs, np.int64)
+    starts[0] = 0
+    starts[1:] = run_end[:-1]
 
-    first = take(arena, "fz.first", ns, bool)
-    first[0] = True
-    if ns > 1:
-        np.not_equal(t[1:], t[:-1], out=first[1:])
-    num_groups = int(np.count_nonzero(first))
-    gstart = compact(arena, "fz.gs", first, num_groups, iota(arena, ns))
+    dtype = values_buf.dtype
+    vals = take(arena, "fz.v", n, dtype)
+    values_buf.take(entry_slot, out=vals, mode="clip")
+    run_max = take(arena, "fz.max", num_runs, dtype)
+    np.maximum.reduceat(vals, starts, out=run_max)
 
-    # Claimed slots are all occupied, so no vacancy mask is needed; the
-    # comparison still runs in float64 like the unfused reduction.
-    raw = take(arena, "fz.vraw", ns, values_buf.dtype)
-    values_buf.take(s, out=raw, mode="clip")
-    vals = take(arena, "fz.v", ns, np.float64)
-    np.copyto(vals, raw, casting="unsafe")
-    gmax = take(arena, "fz.gmax", num_groups, np.float64)
-    np.maximum.reduceat(vals, gstart, out=gmax)
-
-    gid = take(arena, "fz.gid", ns, np.int64)
-    np.copyto(gid, first, casting="unsafe")
-    np.cumsum(gid, out=gid)
-    np.subtract(gid, 1, out=gid)
-    spread = take(arena, "fz.spread", ns, np.float64)
-    gmax.take(gid, out=spread, mode="clip")
-    not_max = take(arena, "fz.nmax", ns, bool)
+    # Lowest slot holding its table's maximum; a NaN maximum matches none.
+    table_max = take(arena, "fz.tmax", nt, dtype)
+    table_max[run_table] = run_max
+    spread = take(arena, "fz.spread", n, dtype)
+    table_max.take(entry_table, out=spread, mode="clip")
+    not_max = take(arena, "fz.nmax", n, bool)
     np.not_equal(vals, spread, out=not_max)
-    candidate = take(arena, "fz.cand", ns, np.int64)
-    np.copyto(candidate, s)
-    candidate[not_max] = _INT64_MAX
-    winner_slot = take(arena, "fz.win", num_groups, np.int64)
-    np.minimum.reduceat(candidate, gstart, out=winner_slot)
+    candidate = take(arena, "fz.cand", n, np.int64)
+    np.copyto(candidate, entry_slot)
+    np.putmask(candidate, not_max, _INT64_MAX)
+    winner_slot = take(arena, "fz.win", num_runs, np.int64)
+    np.minimum.reduceat(candidate, starts, out=winner_slot)
 
-    gtable = take(arena, "fz.gt", num_groups, np.int64)
-    t.take(gstart, out=gtable, mode="clip")
-    # A group holding a NaN has a NaN maximum that no value equals, so it
-    # has no winner and keeps its fallback, as in ``segmented_max_key``.
-    found = take(arena, "fz.has", num_groups, bool)
+    found = take(arena, "fz.has", num_runs, bool)
     np.not_equal(winner_slot, _INT64_MAX, out=found)
     num_found = int(np.count_nonzero(found))
-    if num_found < num_groups:
-        gtable, winner_slot = compact(
-            arena, "fz.found", found, num_found, gtable, winner_slot
+    if num_found < num_runs:
+        run_table, winner_slot = compact(
+            arena, "fz.found", found, num_found, run_table, winner_slot
         )
     winner_key = take(arena, "fz.wkey", num_found, np.int64)
     keys_buf.take(winner_slot, out=winner_key, mode="clip")
-    out[gtable] = winner_key
+    out[run_table] = winner_key
 
     # Clear-at-end: hand the next wave clean tables.
-    keys_buf[s] = EMPTY_KEY
-    values_buf[s] = 0
-    tracker.reset()
+    keys_buf[entry_slot] = EMPTY_KEY
+    values_buf[entry_slot] = 0
     return out

@@ -14,6 +14,11 @@
   adds ``wall_seconds_hashtable`` (the ν-LPA hashtable engine) gated the
   same way, so regressions on the fused-sweep hot path fail CI too.
 
+Each graph row also pins its ``iterations`` and summed kernel
+``counters``; they are deterministic too, so both must match the
+baseline exactly — a host-time optimisation that changes either has
+changed what the engine computes.
+
 :func:`compare_to_baseline` returns a list of regression messages; an
 empty list is a pass.  CI fails the ``perf-gate`` job on any message.
 """
@@ -82,9 +87,10 @@ def compare_to_baseline(
     """Regressions of ``current`` vs ``baseline``; empty list = pass.
 
     Modelled seconds are compared per graph (deterministic, so the
-    tolerance only absorbs float formatting); wall clock is compared on
-    the calibration-normalised suite total (see module docstring).
-    Improvements never fail the gate.
+    tolerance only absorbs float formatting), and so are iteration counts
+    and kernel counters, exactly, wherever the baseline records them;
+    wall clock is compared on the calibration-normalised suite total (see
+    module docstring).  Improvements never fail the gate.
     """
     problems: list[str] = []
     for key in ("scale", "seed", "engine"):
@@ -109,6 +115,24 @@ def compare_to_baseline(
                 f"{g['name']}: modelled seconds regressed {inc:+.1%} "
                 f"({ref['modeled_seconds']:.6f}s -> {g['modeled_seconds']:.6f}s)"
             )
+        if "iterations" in ref and g.get("iterations") != ref["iterations"]:
+            problems.append(
+                f"{g['name']}: iterations changed "
+                f"({ref['iterations']} -> {g.get('iterations')})"
+            )
+        if "counters" in ref:
+            counters = g.get("counters", {})
+            drifted = sorted(
+                name for name in set(ref["counters"]) | set(counters)
+                if counters.get(name) != ref["counters"].get(name)
+            )
+            if drifted:
+                problems.append(
+                    f"{g['name']}: kernel counters changed: " + ", ".join(
+                        f"{name} {ref['counters'].get(name)} -> "
+                        f"{counters.get(name)}" for name in drifted
+                    )
+                )
     missing = set(base_rows) - {g["name"] for g in current["graphs"]}
     for name in sorted(missing):
         problems.append(f"{name}: present in baseline but not in current run")

@@ -3,9 +3,11 @@
 None of the performance levers may change *what* is computed:
 
 * the hashtable engine's one production sweep fuses clear → insert →
-  max-key (tables start clean, CAS-claimed slots are scrubbed after the
-  max) — labels, per-iteration stats, and every kernel counter must match
-  a run whose reduce is the literal per-table loop of
+  max-key (tables start clean, the entries' slots are scrubbed after the
+  max) and settles adds and atomic counters per entry — labels,
+  per-iteration stats, and every kernel counter must match a run whose
+  accumulate is :func:`tests.reference_sweep.literal_accumulate` and
+  whose reduce is the literal per-table loop of
   :func:`tests.reference_sweep.literal_max_key` plus a full clear;
 * ``compact_layout`` shrinks offsets/targets/labels to 32 bits when the
   graph fits — same values, half the bytes;
@@ -39,8 +41,8 @@ ENGINES = ["vectorized", "hashtable"]
 
 
 def _run(graph, engine, *, reference=False, arena=True, **config_kwargs):
-    """One run; ``reference`` swaps in the literal reduce, ``arena=False``
-    builds the engines without a workspace arena."""
+    """One run; ``reference`` swaps in the literal accumulate and reduce,
+    ``arena=False`` builds the engines without a workspace arena."""
     with contextlib.ExitStack() as stack:
         if reference:
             stack.enter_context(reference_reduce())
@@ -77,11 +79,9 @@ class TestFusedSweepDifferential:
         plain = _run(small_social, "hashtable", reference=True, probing=probing)
         _assert_identical(fused, plain, probing.value)
 
-    def test_dense_tables_take_segmented_branch(self):
-        # Uniform-degree ring lattice: occupancy is high enough that the
-        # adaptive heuristic prefers segmented-max + claimed-slot scrub
-        # over the packed sort.  Both branches must still agree with the
-        # literal reduce.
+    def test_dense_tables_match_reference(self):
+        # Uniform-degree ring lattice: every table runs at high occupancy,
+        # so most slots of each wave's tables are entries' slots.
         graph = watts_strogatz(2000, 10, 0.05, seed=5)
         fused = _run(graph, "hashtable")
         plain = _run(graph, "hashtable", reference=True)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.errors import HashtableFullError
 from repro.graph.build import from_edges
-from repro.hashing.hashtable import PerVertexHashtables
+from repro.hashing.hashtable import MAX_RETRIES, PerVertexHashtables
 from repro.hashing.primes import table_capacity
 from repro.hashing.probing import ProbeStrategy
 from repro.types import EMPTY_KEY
@@ -83,6 +84,21 @@ class TestAccumulate:
         for k in range(view.p1):
             t.accumulate(0, key=1000 + 37 * k, value=1.0)
         assert len(t.entries(0)) == view.p1
+
+    def test_full_table_error_reports_the_real_probe_budget(self):
+        # A hub whose p1 exceeds 2016 probes 2*p1 + 64 times, more than
+        # MAX_RETRIES, before giving up; the error must say so.
+        hub = from_edges(np.zeros(2048, dtype=np.int64), np.arange(1, 2049))
+        t = PerVertexHashtables(hub)
+        view = t.table(0)
+        assert view.p1 > 2016
+        t.keys[view.base : view.base + view.p1] = np.arange(view.p1) + 10
+        budget = 2 * view.p1 + 64
+        assert budget > MAX_RETRIES
+        before = t.total_probes
+        with pytest.raises(HashtableFullError, match=f"no slot in {budget} probes"):
+            t.accumulate(0, key=5, value=1.0)
+        assert t.total_probes - before == budget
 
     def test_probe_counter_increases(self, tables):
         before = tables.total_probes

@@ -131,6 +131,28 @@ class TestCompareToBaseline:
         ]
         assert compare_to_baseline(current, _bench_doc()) == []
 
+    def test_pinned_counters_and_iterations_must_match_exactly(self):
+        def pinned():
+            doc = _bench_doc()
+            doc["graphs"] = [
+                dict(g, iterations=4, counters={"probes": 100, "atomic_add": 60})
+                for g in doc["graphs"]
+            ]
+            return doc
+
+        assert compare_to_baseline(pinned(), pinned()) == []
+        current = pinned()
+        current["graphs"][0]["counters"] = {"probes": 101, "atomic_add": 60}
+        problems = compare_to_baseline(current, pinned())
+        assert len(problems) == 1
+        assert "asia_osm" in problems[0] and "probes 100 -> 101" in problems[0]
+        assert "atomic_add" not in problems[0]
+        current = pinned()
+        current["graphs"][1]["iterations"] = 5
+        problems = compare_to_baseline(current, pinned())
+        assert len(problems) == 1
+        assert "sk-2005" in problems[0] and "iterations changed" in problems[0]
+
     def test_scale_mismatch_refuses_to_gate(self):
         problems = compare_to_baseline(_bench_doc(scale=0.25), _bench_doc())
         assert len(problems) == 1 and "refresh the baseline" in problems[0]

@@ -6,12 +6,13 @@ vectorized engine one arena-backed group-by.  The differential tests
 (and the CI identity leg) compare that production path with the literal
 statements below, swapped in for the duration of a ``with`` block:
 
-* :func:`reference_reduce` replaces the hashtable engine's reduce (both
-  the fused branch and the dense segmented branch) with
-  :func:`literal_max_key` — Algorithm 2's ``hashtableMaxKey`` as a
-  per-table Python loop over *every* live slot, so it relies neither on
-  the slot tracker nor on vectorised masking — followed by a full
-  per-table ``hashtableClear``;
+* :func:`reference_reduce` replaces the hashtable engine's accumulate
+  with :func:`literal_accumulate` — Algorithm 2's lockstep probe rounds
+  as a per-entry Python loop, with a CAS and an ``atomicAdd`` in every
+  round — and its reduce with :func:`literal_max_key` —
+  ``hashtableMaxKey`` as a per-table Python loop over *every* live slot,
+  so it relies neither on the entries' slots nor on vectorised masking —
+  followed by a full per-table ``hashtableClear``;
 * :func:`no_arena` builds both engines without a workspace arena, so
   every kernel runs the same arithmetic on freshly allocated buffers.
 
@@ -27,9 +28,105 @@ from unittest import mock
 import numpy as np
 
 from repro.core import engine_hashtable, engine_vectorized
+from repro.errors import HashtableFullError
+from repro.hashing.hashtable import MAX_RETRIES
+from repro.hashing.parallel_hashtable import WaveAccumulateResult
+from repro.hashing.probing import ProbeStrategy
 from repro.types import EMPTY_KEY
 
-__all__ = ["literal_max_key", "no_arena", "reference_reduce"]
+__all__ = [
+    "literal_accumulate",
+    "literal_max_key",
+    "no_arena",
+    "reference_reduce",
+]
+
+_INT64_MOD = 1 << 64
+_INT64_BIAS = 1 << 63
+
+
+def _wrap(x: int) -> int:
+    """``x`` as a two's-complement int64 (the device's probe registers)."""
+    return (x + _INT64_BIAS) % _INT64_MOD - _INT64_BIAS
+
+
+def literal_accumulate(
+    keys_buf, values_buf, base, p1, p2, entry_table, entry_key, entry_value,
+    strategy=ProbeStrategy.QUADRATIC_DOUBLE, *, shared=True,
+    max_retries=MAX_RETRIES, arena=None,
+) -> WaveAccumulateResult:
+    """Algorithm 2's ``hashtableAccumulate`` for every entry of a wave,
+    run as lockstep probe rounds, one entry at a time.
+
+    Each round every pending entry (lane) reads its slot; among the lanes
+    that read an empty slot the first in lane order wins the
+    ``atomicCAS``; then, in lane order, every lane whose slot holds its
+    key does its ``atomicAdd`` and retires, and the rest advance their
+    probe sequence — after ``p1`` probes by the step-1 completeness
+    fallback.  On shared tables each round counts its CAS attempts, its
+    adds and its conflicts (adds minus distinct slots added to).  More
+    than ``max_retries`` rounds (by default enough for the fallback to
+    sweep the largest table) raise :class:`HashtableFullError`.
+    ``arena`` is accepted for call compatibility and ignored.
+    """
+    n = len(entry_key)
+    result = WaveAccumulateResult(
+        entry_probes=np.zeros(n, dtype=np.int64),
+        entry_slot=np.zeros(n, dtype=np.int64),
+    )
+    if max_retries == MAX_RETRIES:
+        max_retries = max(MAX_RETRIES, 2 * int(np.max(p1, initial=1)) + 64)
+    # Per lane: [entry, key, i, di, table]; i and di start as in
+    # ``probing.probe_start``.
+    lanes = []
+    for e in range(n):
+        t, k = int(entry_table[e]), int(entry_key[e])
+        di = 1 + k % int(p2[t]) if strategy is ProbeStrategy.DOUBLE else 1
+        lanes.append([e, k, k, di, t])
+    round_no = 0
+    while lanes:
+        round_no += 1
+        if round_no > max_retries:
+            raise HashtableFullError(
+                f"{len(lanes)} entries unplaced after {max_retries} probe "
+                f"rounds (strategy={strategy.value})"
+            )
+        result.rounds = round_no
+        slots = [int(base[t]) + i % int(p1[t]) for _, _, i, _, t in lanes]
+        read = [int(keys_buf[s]) for s in slots]  # every lane reads first
+        for lane, s, seen in zip(lanes, slots, read):
+            if seen == EMPTY_KEY:
+                if shared:
+                    result.cas_attempts += 1
+                if int(keys_buf[s]) == EMPTY_KEY:  # the first lane wins
+                    keys_buf[s] = lane[1]
+        added = []
+        retry = []
+        for lane, s in zip(lanes, slots):
+            e = lane[0]
+            result.entry_probes[e] = round_no
+            result.entry_slot[e] = s
+            if int(keys_buf[s]) == lane[1]:
+                values_buf[s] += entry_value[e]
+                added.append(s)
+            else:
+                retry.append(lane)
+        if shared:
+            result.atomic_adds += len(added)
+            result.atomic_conflicts += len(added) - len(set(added))
+        for lane in retry:
+            _, k, i, di, t = lane
+            if round_no >= int(p1[t]):
+                lane[2] = _wrap(i + 1)
+            else:
+                lane[2] = _wrap(i + di)
+            if strategy is ProbeStrategy.QUADRATIC:
+                lane[3] = _wrap(2 * di)
+            elif strategy is ProbeStrategy.QUADRATIC_DOUBLE:
+                lane[3] = _wrap(2 * di + k % int(p2[t]))
+        lanes = retry
+    result.total_probes = int(result.entry_probes.sum())
+    return result
 
 
 def literal_max_key(keys_buf, values_buf, base, p1, fallback) -> np.ndarray:
@@ -71,34 +168,30 @@ def _literal_reduce_and_clear(keys_buf, values_buf, base, p1, fallback, out):
 
 @contextmanager
 def reference_reduce():
-    """Run the hashtable engine's reduce as :func:`literal_max_key` plus
-    a full clear of the wave's tables, whichever branch it takes.
+    """Run the hashtable engine's sweep literally: :func:`literal_accumulate`
+    for its accumulate, and :func:`literal_max_key` plus a full clear of
+    the wave's tables for its reduce.
 
-    The fused branch is not handed the wave's table bounds, so they are
-    captured from the accumulate call of the same wave.
+    The reduce is not handed the wave's table bounds, so they are captured
+    from the accumulate call of the same wave.
     """
     wave = {}
-    real_accumulate = engine_hashtable.parallel_accumulate
 
     def accumulate(keys_buf, values_buf, base, p1, *args, **kwargs):
         wave["base"], wave["p1"] = base, p1
-        return real_accumulate(keys_buf, values_buf, base, p1, *args, **kwargs)
+        return literal_accumulate(keys_buf, values_buf, base, p1, *args, **kwargs)
 
     # The engine always passes ``out`` and reads the winners from it.
-    def fused(keys_buf, values_buf, fallback, tracker, *, arena, out):
-        tracker.reset()
+    def fused(keys_buf, values_buf, fallback, entry_table, entry_slot, *,
+              arena, out):
         return _literal_reduce_and_clear(
             keys_buf, values_buf, wave["base"], wave["p1"], fallback, out
         )
-
-    def segmented(keys_buf, values_buf, base, p1, fallback, *, arena, out):
-        return _literal_reduce_and_clear(keys_buf, values_buf, base, p1, fallback, out)
 
     with ExitStack() as stack:
         for name, replacement in (
             ("parallel_accumulate", accumulate),
             ("fused_max_and_clear", fused),
-            ("segmented_max_key", segmented),
         ):
             stack.enter_context(
                 mock.patch.object(engine_hashtable, name, replacement)

@@ -200,13 +200,14 @@ class TestFaultsOnFusedSweep:
 
     @pytest.mark.parametrize("kind", ["bitflip", "sdc"])
     @pytest.mark.parametrize(
-        "grow, branch",
-        # Tables at the paper's size are dense enough for the segmented
-        # branch; regrown (4x) tables are sparse enough for the sorted one.
-        [(0, "segmented_max_key"), (2, "fused_max_and_clear")],
+        "grow, tables",
+        # The paper's table sizes, and tables regrown 4x (sparse: most
+        # live slots stay empty, so the reduce must find the corrupted
+        # ones among the few the entries occupy).
+        [(0, "standard"), (2, "fourfold")],
     )
     def test_corrupted_slots_reach_the_fused_reduce(
-        self, monkeypatch, small_web, kind, grow, branch
+        self, monkeypatch, small_web, kind, grow, tables
     ):
         from repro.core import engine_hashtable
         from repro.core.pruning import Frontier
@@ -214,42 +215,48 @@ class TestFaultsOnFusedSweep:
         engine = engine_hashtable.HashtableEngine(small_web, LPAConfig())
         for _ in range(grow):
             engine.grow_tables()
+        assert engine.tables.capacity_scale == 2 ** grow
         injector = FaultInjector(
             FaultSpec(kinds=(kind,), targets=("keys", "values"))
         )
 
-        corrupted = []  # slots the firing changed
-        reduced = []    # (branch, were they among the claimed slots?)
+        corrupted = []  # (slot, key, value bits) the firing left behind
+        reduced = []    # per reduce after a firing: read every corrupted slot?
 
         def fire(ctx):
             keys, bits = ctx.keys.copy(), ctx.values.view(np.uint32).copy()
             injector(ctx)
-            changed = np.flatnonzero(
-                (ctx.keys != keys) | (ctx.values.view(np.uint32) != bits)
-            )
+            bits_now = ctx.values.view(np.uint32)
+            changed = np.flatnonzero((ctx.keys != keys) | (bits_now != bits))
             if changed.shape[0]:
-                corrupted.append(changed)
+                corrupted.append(
+                    (changed, ctx.keys[changed].copy(), bits_now[changed].copy())
+                )
 
-        def spy(name):
-            real = getattr(engine_hashtable, name)
+        real = engine_hashtable.fused_max_and_clear
 
-            def reduce(*args, **kwargs):
-                if len(corrupted) > len(reduced):
-                    slots, _ = engine._tracker.views()
-                    reduced.append((name, bool(np.isin(corrupted[-1], slots).all())))
-                return real(*args, **kwargs)
+        def reduce(keys_buf, values_buf, fallback, entry_table, entry_slot,
+                   **kwargs):
+            if len(corrupted) > len(reduced):
+                slots, keys, bits = corrupted[-1]
+                reduced.append(
+                    bool(np.isin(slots, entry_slot).all())
+                    and np.array_equal(keys_buf[slots], keys)
+                    and np.array_equal(values_buf.view(np.uint32)[slots], bits)
+                )
+            return real(keys_buf, values_buf, fallback, entry_table,
+                        entry_slot, **kwargs)
 
-            return reduce
-
-        for name in ("fused_max_and_clear", "segmented_max_key"):
-            monkeypatch.setattr(engine_hashtable, name, spy(name))
+        monkeypatch.setattr(engine_hashtable, "fused_max_and_clear", reduce)
         engine.fault_hook = fire
         assert injector.arm(0, 0) == kind
         labels = np.arange(small_web.num_vertices, dtype=np.int64)
         engine.move(labels, Frontier(small_web), pick_less=False, iteration=0)
 
         assert injector.fires == 1 and len(corrupted) == 1
-        assert reduced == [(branch, True)]
+        # The corrupted slots are among the entries' slots, and the
+        # reduce saw the corruption.
+        assert reduced == [True]
         # The sweep re-cleared the corrupted slots with the rest.
         assert np.all(engine.tables.keys == EMPTY_KEY)
         assert not np.any(engine.tables.values)
