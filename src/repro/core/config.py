@@ -87,7 +87,7 @@ class LPAConfig:
         every id fits either width.  Graphs too large for 32 bits are
         silently left at full width.
     degree_renumber:
-        Renumber vertices in descending-degree order before running
+        Renumber vertices in ascending-degree order before running
         (better coalescing for the block-per-vertex kernel model) and
         un-permute the labels on output.  The relabelled run visits
         vertices in a different order, so labels are a *renaming* of a

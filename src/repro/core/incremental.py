@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import LPAConfig
-from repro.core.lpa import nu_lpa
+from repro.core.lpa import _engine_class, nu_lpa
 from repro.core.result import LPAResult
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
@@ -135,18 +135,12 @@ def nu_lpa_incremental(
             f"previous_labels length {previous_labels.shape[0]} != "
             f"num_vertices {graph.num_vertices}"
         )
-    if hops < 0:
-        raise ConfigurationError(f"hops must be >= 0; got {hops}")
-    touched = np.unique(np.asarray(touched, dtype=np.int64))
+    touched = _validate_touched(graph, touched, hops)
     if touched.shape[0] == 0:
         # Nothing changed: the previous labels are already the fixed point.
         # Returning them directly skips engine construction entirely — an
         # empty delta batch must cost O(1), not a full wave.
-        if engine not in ("vectorized", "hashtable"):
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; choose from "
-                f"['hashtable', 'vectorized']"
-            )
+        _engine_class(engine)
         return LPAResult(
             labels=previous_labels.copy(),
             iterations=[],

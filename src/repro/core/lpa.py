@@ -11,13 +11,19 @@ single choke point through which every kernel launch flows (invariant
 checks, the retry → regrow → fallback degradation ladder, fault
 injection).  The same configuration enables iteration-boundary
 checkpointing and deterministic, bit-identical resume.
+
+:func:`nu_lpa` is three stages over one run state: :func:`_prepare`,
+:func:`_iterate` (Algorithm 1's loop plus the *boundary steps* the run
+configured: budget, cancel, integrity audit, checkpoint save, in that
+order) and :func:`_finalize`.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +42,6 @@ from repro.errors import (
     DeviceOomError,
 )
 from repro.gpu.governor import MemoryGovernor
-from repro.gpu.kernel import LaunchStatus
 from repro.graph.csr import CSRGraph
 from repro.integrity.guard import IntegrityGuard
 from repro.observe.trace import (
@@ -47,7 +52,6 @@ from repro.observe.trace import (
     Tracer,
 )
 from repro.resilience.checkpoint import CheckpointManager, CheckpointState, run_digest
-from repro.resilience.report import FaultEvent
 from repro.resilience.supervisor import KernelSupervisor
 from repro.resilience.validate import validate_graph
 from repro.types import VERTEX_DTYPE
@@ -60,15 +64,19 @@ _ENGINES = {
 }
 
 
-def make_engine(graph: CSRGraph, config: LPAConfig, engine: str):
-    """Instantiate an engine by name (``"hashtable"`` or ``"vectorized"``)."""
+def _engine_class(engine: str):
+    """The engine class registered as ``engine``, or a typed error."""
     try:
-        cls = _ENGINES[engine]
+        return _ENGINES[engine]
     except KeyError:
         raise ConfigurationError(
             f"unknown engine {engine!r}; choose from {sorted(_ENGINES)}"
         ) from None
-    return cls(graph, config)
+
+
+def make_engine(graph: CSRGraph, config: LPAConfig, engine: str):
+    """Instantiate an engine by name (``"hashtable"`` or ``"vectorized"``)."""
+    return _engine_class(engine)(graph, config)
 
 
 def _make_governor(
@@ -187,26 +195,85 @@ def nu_lpa(
         Final labels, per-iteration statistics, kernel counters, fault
         events (for supervised runs).
     """
-    config = config or LPAConfig()
-    validation = None
+    run = _prepare(
+        graph, config or LPAConfig(), engine=engine,
+        initial_labels=initial_labels, initial_active=initial_active,
+        resilience=resilience,
+        tracer=Tracer() if profile and tracer is None else tracer,
+        validate=validate, budget=budget, cancel=cancel,
+    )
+    _iterate(run)
+    return _finalize(run, warn_on_no_convergence=warn_on_no_convergence, profile=profile)
+
+
+# --------------------------------------------------------------------- #
+# The three stages and the run state they share
+# --------------------------------------------------------------------- #
+
+
+@dataclass(eq=False)
+class _Run:
+    """State shared by :func:`_prepare`, :func:`_iterate` and :func:`_finalize`."""
+
+    config: LPAConfig
+    graph: CSRGraph | None = None
+    eng: object = None
+    #: ``supervisor.move`` for supervised runs, else the engine's ``move``.
+    move: Callable | None = None
+    labels: np.ndarray | None = None
+    frontier: Frontier | None = None
+    tracer: Tracer | None = None
+    tracing: bool = False
+    validation: object = None
+    #: ``degree_renumber``: new vertex ``k`` is the caller's ``perm[k]``.
+    perm: np.ndarray | None = None
+    governor: MemoryGovernor | None = None
+    #: Construction-time ledger charges, by region, in reservation order.
+    charges: dict = field(default_factory=dict)
+    construction_rungs: list = field(default_factory=list)
+    supervisor: KernelSupervisor | None = None
+    guard: IntegrityGuard | None = None
+    #: Iteration-boundary steps, in order; each returns ``True`` when it
+    #: restored an earlier boundary (the loop then restarts from ``li``).
+    boundary: tuple = ()
+    iterations: list = field(default_factory=list)
+    converged: bool = False
+    li: int = 0
+    resumed_from: int | None = None
+    degraded_reason: str | None = None
+    wall: float = 0.0
+
+
+def _prepare(
+    graph: CSRGraph,
+    config: LPAConfig,
+    *,
+    engine: str,
+    initial_labels,
+    initial_active,
+    resilience: ResilienceConfig | None,
+    tracer: Tracer | None,
+    validate: str | None,
+    budget: RunBudget | None,
+    cancel,
+) -> _Run:
+    """Stage 1: everything the loop needs, in construction order."""
+    run = _Run(config=config, tracer=tracer)
+    run.tracing = tracer is not None and tracer.enabled
     if validate is not None:
-        graph, validation = validate_graph(graph, validate)
+        graph, run.validation = validate_graph(graph, validate)
 
     if config.degree_renumber and graph.num_vertices:
-        return _run_renumbered(
-            graph,
-            config,
-            engine=engine,
-            initial_labels=initial_labels,
-            initial_active=initial_active,
-            warn_on_no_convergence=warn_on_no_convergence,
-            resilience=resilience,
-            profile=profile,
-            tracer=tracer,
-            budget=budget,
-            cancel=cancel,
-            validation=validation,
-        )
+        # Renumbering vertices by ascending degree makes each wave's
+        # adjacency gathers walk near-contiguous CSR ranges.  Caller-
+        # supplied label values are opaque (they need not be vertex ids),
+        # so there is no faithful way to renumber them.
+        if initial_labels is not None:
+            raise ConfigurationError(
+                "degree_renumber cannot be combined with initial_labels: "
+                "custom label values are opaque and cannot be renumbered"
+            )
+        graph, run.perm = graph.sorted_by_degree()
 
     # Data-layout shrinking: 32-bit offsets/targets (and labels) whenever
     # the graph fits.  Values are unchanged — every kernel widens on the
@@ -214,31 +281,24 @@ def nu_lpa(
     if config.compact_layout:
         graph = graph.with_compact_layout()
 
-    if profile and tracer is None:
-        tracer = Tracer()
-
     # Device-memory governor: every region below is reserved against the
     # budget before it is allocated, so an oversized run fails here with
     # a typed DeviceOomError (which the service's admission/degradation
     # ladder turns into backpressure or a smaller rung) instead of
     # producing a silently impossible footprint.  ``governor is None`` is
     # the default zero-overhead path — no ledger, no charging, no checks.
-    governor = _make_governor(config, resilience, tracer)
-    csr_charge = labels_charge = 0
-    construction_rungs: list[str] = []
+    governor = run.governor = _make_governor(config, resilience, tracer)
     if governor is not None:
-        csr_charge = graph.memory_bytes()
-        if not governor.would_fit(csr_charge) and not graph.is_compact:
+        if not governor.would_fit(graph.memory_bytes()) and not graph.is_compact:
             # Construction-time memory rung: drop to the 32-bit layout
             # even when the config left it wide — results stay
             # bit-identical, the topology halves.
             compacted = graph.with_compact_layout()
             if compacted is not graph:
                 graph = compacted
-                csr_charge = graph.memory_bytes()
-                construction_rungs.append("compact-layout")
-        governor.reserve("csr", csr_charge)
-    eng = make_engine(graph, config, engine)
+                run.construction_rungs.append("compact-layout")
+        run.charges["csr"] = governor.reserve("csr", graph.memory_bytes())
+    eng = run.eng = make_engine(graph, config, engine)
     if governor is not None:
         tables = getattr(eng, "tables", None)
         if tables is not None:
@@ -247,53 +307,24 @@ def nu_lpa(
         # ``hashtable`` charge, arena growth charges its byte delta.
         eng.governor = governor
         eng.arena.governor = governor
-
     if tracer is not None:
         eng.tracer = tracer
-    tracing = tracer is not None and tracer.enabled
+    run.graph = graph
 
-    n = graph.num_vertices
-    label_dtype: np.dtype = VERTEX_DTYPE
-    if graph.is_compact and (config.compact_layout or construction_rungs):
-        label_dtype = np.dtype(np.int32)
-    if initial_labels is None:
-        labels = np.arange(n, dtype=label_dtype)
-    else:
-        arr = np.asarray(initial_labels)
-        if label_dtype != VERTEX_DTYPE and arr.shape[0]:
-            lo, hi = int(arr.min()), int(arr.max())
-            ii = np.iinfo(np.int32)
-            if lo < ii.min or hi > ii.max:  # caller's ids need 64 bits
-                label_dtype = VERTEX_DTYPE
-        labels = arr.astype(label_dtype, copy=True)
-        if labels.shape[0] != n:
-            raise ConfigurationError(
-                f"initial_labels length {labels.shape[0]} != num_vertices {n}"
-            )
+    compact = graph.is_compact and (config.compact_layout or run.construction_rungs)
+    labels = run.labels = _initial_labels(graph.num_vertices, initial_labels, compact)
     if governor is not None:
         # Labels plus the one working copy every iteration makes (the
         # supervisor snapshot / Cross-Check ``previous``).
-        labels_charge = 2 * labels.nbytes
-        governor.reserve("labels", labels_charge)
+        run.charges["labels"] = governor.reserve("labels", 2 * labels.nbytes)
+    run.frontier = _initial_frontier(run, initial_active)
+    run.converged = graph.num_vertices == 0
 
-    frontier = Frontier(graph, enabled=config.pruning, arena=eng.arena)
-    if initial_active is not None:
-        active = np.asarray(initial_active, dtype=np.int64)
-        if active.shape[0] and (active.min() < 0 or active.max() >= n):
-            raise ConfigurationError("initial_active vertex id out of range")
-        frontier.flags[:] = 0
-        frontier.flags[active] = 1
-
-    supervisor: KernelSupervisor | None = None
+    steps = dict.fromkeys(("budget", "cancel", "audit", "save"))
     ckpt: CheckpointManager | None = None
     digest = ""
-    start_iteration = 0
-    resumed_from: int | None = None
-    iterations: list[IterationStats] = []
-    converged = n == 0
-
     if resilience is not None:
-        supervisor = KernelSupervisor(eng, graph, config, resilience)
+        supervisor = run.supervisor = KernelSupervisor(eng, graph, config, resilience)
         if governor is not None:
             supervisor.governor = governor
             if supervisor.injector is not None:
@@ -306,257 +337,136 @@ def nu_lpa(
                 keep=resilience.checkpoint_keep,
             )
             digest = run_digest(graph, config, engine)
-            if resilience.resume:
-                state = ckpt.latest()
-                if state is not None:
-                    if state.digest != digest:
-                        raise CheckpointError(
-                            f"checkpoint in {resilience.checkpoint_dir} was "
-                            f"written by a different run (digest "
-                            f"{state.digest} != {digest}); refusing to resume"
-                        )
-                    labels[:] = state.labels
-                    frontier.flags[:] = state.flags
-                    start_iteration = state.iteration
-                    resumed_from = state.iteration
-                    iterations = list(state.stats)
-                    converged = state.converged or converged
-                    supervisor.restore_state(
-                        injector_fires=state.injector_fires,
-                        last_pl_fraction=state.last_pl_fraction,
-                        capacity_scale=state.capacity_scale,
+            state = ckpt.latest() if resilience.resume else None
+            if state is not None:
+                if state.digest != digest:
+                    raise CheckpointError(
+                        f"checkpoint in {resilience.checkpoint_dir} was "
+                        f"written by a different run (digest "
+                        f"{state.digest} != {digest}); refusing to resume"
                     )
+                _restore(run, state)
+                run.resumed_from = state.iteration
+            steps["save"] = _save_step(run, ckpt, digest)
 
-    meter: BudgetMeter | None = None
     if budget is not None and not budget.unlimited:
-        meter = BudgetMeter(budget, config.device)
-    degraded_reason: str | None = None
+        steps["budget"] = _budget_step(run, BudgetMeter(budget, config.device))
+    if cancel is not None:
+        steps["cancel"] = _cancel_step(run, cancel)
 
-    guard: IntegrityGuard | None = None
     if (
-        supervisor is not None
+        run.supervisor is not None
         and resilience.integrity is not None
         and resilience.integrity.enabled
     ):
-        guard = IntegrityGuard(
+        guard = run.guard = IntegrityGuard(
             graph, config, resilience.integrity, tracer=tracer, governor=governor
         )
-        supervisor.guard = guard
+        run.supervisor.guard = guard
+        steps["audit"] = _audit_step(run, guard, ckpt, digest)
 
+    run.move = run.supervisor.move if run.supervisor is not None else eng.move
+    run.boundary = tuple(step for step in steps.values() if step is not None)
+    return run
+
+
+def _initial_labels(n: int, initial_labels, compact: bool) -> np.ndarray:
+    """Algorithm 1 line 2 (each vertex its own community), or the caller's
+    labels — int32 on compact runs unless the caller's ids need 64 bits."""
+    label_dtype = np.dtype(np.int32) if compact else VERTEX_DTYPE
+    if initial_labels is None:
+        return np.arange(n, dtype=label_dtype)
+    arr = np.asarray(initial_labels)
+    if label_dtype != VERTEX_DTYPE and arr.shape[0]:
+        ii = np.iinfo(np.int32)
+        if int(arr.min()) < ii.min or int(arr.max()) > ii.max:
+            label_dtype = VERTEX_DTYPE
+    labels = arr.astype(label_dtype, copy=True)
+    if labels.shape[0] != n:
+        raise ConfigurationError(
+            f"initial_labels length {labels.shape[0]} != num_vertices {n}"
+        )
+    return labels
+
+
+def _initial_frontier(run: _Run, initial_active) -> Frontier:
+    """The pruning frontier, seeded with ``initial_active`` (caller ids)."""
+    frontier = Frontier(run.graph, enabled=run.config.pruning, arena=run.eng.arena)
+    if initial_active is not None:
+        n = run.graph.num_vertices
+        active = np.asarray(initial_active, dtype=np.int64)
+        if active.shape[0] and (active.min() < 0 or active.max() >= n):
+            raise ConfigurationError("initial_active vertex id out of range")
+        if run.perm is not None:
+            inverse = np.empty(n, dtype=np.int64)
+            inverse[run.perm] = np.arange(n, dtype=np.int64)
+            active = inverse[active]
+        frontier.flags[:] = 0
+        frontier.flags[active] = 1
+    return frontier
+
+
+def _iterate(run: _Run) -> None:
+    """Stage 2: Algorithm 1's loop, then the run's boundary steps."""
+    config = run.config
+    n = run.graph.num_vertices
     t0 = time.perf_counter()
-    li = start_iteration
-    if not converged:
-        # A while (not a range) so the integrity guard can *rewind* ``li``
-        # to a restored checkpoint when boundary corruption is detected.
-        while not converged and li < config.max_iterations:
-            pick_less = config.pick_less_active(li)
-            cross_check = config.cross_check_active(li)
+    # A while (not a range) so a boundary step can *rewind* ``run.li`` to
+    # a restored checkpoint when boundary corruption is detected.
+    while not run.converged and run.li < config.max_iterations:
+        li = run.li
+        pick_less = config.pick_less_active(li)
+        cross_check = config.cross_check_active(li)
 
-            previous = labels.copy() if cross_check else None
-            if supervisor is not None:
-                outcome = supervisor.move(
-                    labels, frontier, pick_less=pick_less, iteration=li
-                )
-            else:
-                outcome = eng.move(labels, frontier, pick_less=pick_less, iteration=li)
+        previous = run.labels.copy() if cross_check else None
+        outcome = run.move(run.labels, run.frontier, pick_less=pick_less, iteration=li)
 
-            reverted = 0
-            if cross_check and previous is not None:
-                reverted = cross_check_revert(labels, previous, outcome.changed_vertices)
+        reverted = 0
+        if previous is not None:
+            reverted = cross_check_revert(run.labels, previous, outcome.changed_vertices)
 
-            if guard is not None:
-                # Record the committed label CRC for the boundary audit and
-                # fold the accumulated audit/scrub/replay cost into this
-                # iteration's counters, so profiles and the budget meter
-                # price integrity as real modelled work.
-                guard.note_move(labels)
-                outcome.counters = outcome.counters + guard.drain()
+        if run.guard is not None:
+            # Record the committed label CRC for the boundary audit and
+            # fold the accumulated audit/scrub/replay cost into this
+            # iteration's counters, so profiles and the budget meter
+            # price integrity as real modelled work.
+            run.guard.note_move(run.labels)
+            outcome.counters = outcome.counters + run.guard.drain()
 
-            if tracing:
-                tracer.emit(IterationEvent(
-                    iteration=li,
-                    changed=outcome.changed,
-                    processed=outcome.processed,
-                    pick_less=pick_less,
-                    cross_check=cross_check,
-                    reverted=reverted,
-                ))
+        record = dict(
+            iteration=li,
+            changed=outcome.changed,
+            processed=outcome.processed,
+            pick_less=pick_less,
+            cross_check=cross_check,
+            reverted=reverted,
+        )
+        if run.tracing:
+            run.tracer.emit(IterationEvent(**record))
+        run.iterations.append(IterationStats(**record, counters=outcome.counters))
 
-            iterations.append(
-                IterationStats(
-                    iteration=li,
-                    changed=outcome.changed,
-                    processed=outcome.processed,
-                    pick_less=pick_less,
-                    cross_check=cross_check,
-                    reverted=reverted,
-                    counters=outcome.counters,
-                )
-            )
+        # Algorithm 1 line 9: converge only when PL was off this iteration.
+        if not pick_less and n > 0 and outcome.changed / n < config.tolerance:
+            run.converged = True
 
-            # Algorithm 1 line 9: converge only when PL was off this iteration.
-            if not pick_less and n > 0 and outcome.changed / n < config.tolerance:
-                converged = True
+        if any(step(li, outcome) for step in run.boundary):
+            continue
+        if run.converged or run.degraded_reason is not None:
+            break
+        run.li += 1
+    run.wall = time.perf_counter() - t0
 
-            # Budget check at the boundary: a breach stops the run with the
-            # best-so-far partition instead of raising — LPA's partition at
-            # any boundary is a valid (if unpolished) answer.  Every
-            # iteration is charged — including the converging one, whose
-            # work is just as real — but a converged run is complete, so
-            # only unconverged runs can be degraded by a breach.
-            if meter is not None:
-                meter.charge(outcome.counters)
-            if meter is not None and not converged:
-                degraded_reason = meter.breached()
-                if degraded_reason is not None:
-                    if tracing:
-                        tracer.emit(BudgetEvent(
-                            iteration=li,
-                            reason=degraded_reason,
-                            wall_spent=meter.wall_spent,
-                            gpu_spent=meter.gpu_spent,
-                        ))
-                    if supervisor is not None:
-                        supervisor.report.append(FaultEvent(
-                            iteration=li,
-                            attempt=0,
-                            fault="RunBudgetBreach",
-                            detail=(
-                                f"budget limit {degraded_reason!r} reached after "
-                                f"{meter.iterations} iteration(s); returning "
-                                f"best-so-far partition"
-                            ),
-                            action="budget-stop",
-                            engine=eng.name,
-                            status=LaunchStatus.COMPLETED,
-                        ))
 
-            # Cooperative cancellation (signal handlers, service shutdown):
-            # checked at the boundary like a budget breach, and handled the
-            # same way — final snapshot, best-so-far labels, no exception.
-            if (
-                degraded_reason is None
-                and not converged
-                and cancel is not None
-                and cancel()
-            ):
-                degraded_reason = "interrupted"
-
-            # Boundary integrity audit — *before* the checkpoint save, so a
-            # corrupted state is never made durable.  The supervisor ladder
-            # cannot replay a whole boundary; the repair rung here is a
-            # rewind to the newest verified checkpoint (bounded by
-            # ``max_rewinds``), after which the loop redoes the lost work.
-            if guard is not None:
-                try:
-                    guard.at_boundary(labels, iteration=li)
-                except CorruptionDetectedError:
-                    state = ckpt.latest() if ckpt is not None else None
-                    if (
-                        state is not None
-                        and state.digest == digest
-                        and guard.rewinds < guard.config.max_rewinds
-                    ):
-                        labels[:] = state.labels
-                        frontier.flags[:] = state.flags
-                        iterations = list(state.stats)
-                        converged = state.converged
-                        degraded_reason = None
-                        li = state.iteration
-                        if supervisor is not None:
-                            supervisor.restore_state(
-                                injector_fires=state.injector_fires,
-                                last_pl_fraction=state.last_pl_fraction,
-                                capacity_scale=state.capacity_scale,
-                            )
-                        guard.note_rewind(labels)
-                        if tracing:
-                            tracer.emit(IntegrityEvent(
-                                iteration=li,
-                                check="boundary",
-                                action="rewind",
-                                detail=(
-                                    f"restored verified checkpoint at "
-                                    f"iteration {li} "
-                                    f"(rewind {guard.rewinds}/"
-                                    f"{guard.config.max_rewinds})"
-                                ),
-                            ))
-                        continue
-                    raise
-
-            # Snapshot at the iteration boundary: the state here is exactly
-            # what a deterministic re-run would hold entering iteration
-            # li + 1, so a killed run resumes bit-identically.  A budget
-            # breach also snapshots, so a later resume can finish the work.
-            if ckpt is not None and (
-                ckpt.due(li + 1) or converged or degraded_reason is not None
-            ):
-                # Checkpoint staging is a real (transient) device buffer:
-                # reserve it for the duration of the save.  Under memory
-                # pressure the snapshot is *skipped* — a missing
-                # checkpoint costs redone work on resume, never
-                # correctness — and the skip is recorded, not silent.
-                staging = 0
-                skip_save = False
-                if governor is not None:
-                    staging = labels.nbytes + frontier.flags.nbytes
-                    try:
-                        governor.reserve("checkpoint", staging)
-                    except DeviceOomError as exc:
-                        staging = 0
-                        skip_save = True
-                        if supervisor is not None:
-                            supervisor.report.append(FaultEvent(
-                                iteration=li,
-                                attempt=0,
-                                fault=type(exc).__name__,
-                                detail=f"checkpoint staging skipped: {exc}",
-                                action="checkpoint-skip",
-                                engine=eng.name,
-                                status=LaunchStatus.COMPLETED,
-                            ))
-                if not skip_save:
-                    try:
-                        ckpt.save(
-                            CheckpointState(
-                                labels=labels,
-                                flags=frontier.flags,
-                                iteration=li + 1,
-                                digest=digest,
-                                converged=converged,
-                                stats=iterations,
-                                injector_fires=(
-                                    supervisor.injector.fires
-                                    if supervisor is not None
-                                    and supervisor.injector is not None
-                                    else 0
-                                ),
-                                last_pl_fraction=(
-                                    supervisor.last_pl_fraction
-                                    if supervisor is not None else None
-                                ),
-                                capacity_scale=(
-                                    supervisor.capacity_scale
-                                    if supervisor is not None else 1
-                                ),
-                            )
-                        )
-                    finally:
-                        if staging:
-                            governor.release("checkpoint", staging)
-
-            if converged or degraded_reason is not None:
-                break
-            li += 1
-
-    wall = time.perf_counter() - t0
-    if not converged and degraded_reason is None:
+def _finalize(run: _Run, *, warn_on_no_convergence: bool, profile: bool) -> LPAResult:
+    """Stage 3: warn, widen and un-renumber the labels, release the ledger."""
+    config, iterations = run.config, run.iterations
+    n = run.graph.num_vertices
+    if not run.converged and run.degraded_reason is None:
         final_fraction = (
             iterations[-1].changed / n if iterations and n > 0 else 0.0
         )
-        if tracing:
-            tracer.emit(ConvergenceEvent(
+        if run.tracing:
+            run.tracer.emit(ConvergenceEvent(
                 iteration=len(iterations) - 1 if iterations else 0,
                 iterations=len(iterations),
                 final_fraction=final_fraction,
@@ -572,43 +482,50 @@ def nu_lpa(
                     iterations=len(iterations),
                     final_fraction=final_fraction,
                 ),
-                stacklevel=2,
+                stacklevel=3,
             )
-    if labels.dtype != VERTEX_DTYPE:
-        # Compact-layout runs compute in int32; the public result is
-        # always the canonical wide dtype.
-        labels = labels.astype(VERTEX_DTYPE)
+    # Compact-layout runs compute in int32; the public result is always
+    # the canonical wide dtype.
+    labels = run.labels.astype(VERTEX_DTYPE, copy=False)
+    if run.perm is not None:
+        # New vertex k is old vertex perm[k]; a label is itself a (new)
+        # vertex id, so both the positions and the values map through
+        # perm — the partition equals a non-renumbered run's only up to
+        # this renaming (documented on the flag).
+        restored = np.empty(n, dtype=VERTEX_DTYPE)
+        restored[run.perm] = run.perm[labels]
+        labels = restored
     memory_stats: dict | None = None
-    if governor is not None:
+    if run.governor is not None:
         # Return every region to the ledger before snapshotting the
         # stats: high-water marks survive release, and a non-zero final
         # ``in_use_bytes`` is a charging bug the tests can see.  The
         # engine/guard releases are idempotent, so a supervisor fallback
         # that already freed the engine's regions is fine.
-        release = getattr(eng, "release_memory", None)
+        release = getattr(run.eng, "release_memory", None)
         if release is not None:
             release()
-        if guard is not None:
-            guard.release_memory()
-        if labels_charge:
-            governor.release("labels", labels_charge)
-        if csr_charge:
-            governor.release("csr", csr_charge)
-        memory_stats = governor.stats()
-        memory_stats["construction_rungs"] = list(construction_rungs)
+        if run.guard is not None:
+            run.guard.release_memory()
+        for region, nbytes in reversed(run.charges.items()):
+            if nbytes:
+                run.governor.release(region, nbytes)
+        memory_stats = run.governor.stats()
+        memory_stats["construction_rungs"] = list(run.construction_rungs)
+    supervisor = run.supervisor
     result = LPAResult(
         labels=labels,
         iterations=iterations,
-        converged=converged,
+        converged=run.converged,
         config=config,
-        wall_seconds=wall,
-        algorithm=f"nu-lpa[{eng.name}]",
+        wall_seconds=run.wall,
+        algorithm=f"nu-lpa[{run.eng.name}]",
         fault_events=list(supervisor.events) if supervisor is not None else [],
-        resumed_from=resumed_from,
-        degraded_reason=degraded_reason,
-        validation=validation,
-        trace=tracer,
-        integrity=guard.stats() if guard is not None else None,
+        resumed_from=run.resumed_from,
+        degraded_reason=run.degraded_reason,
+        validation=run.validation,
+        trace=run.tracer,
+        integrity=run.guard.stats() if run.guard is not None else None,
         memory=memory_stats,
     )
     if profile:
@@ -616,73 +533,144 @@ def nu_lpa(
         # (and through it the baselines), which imports this module.
         from repro.observe.profile import build_profile
 
-        result.profile = build_profile(result, device=config.device, tracer=tracer)
+        result.profile = build_profile(result, device=config.device, tracer=run.tracer)
     return result
 
 
-def _run_renumbered(
-    graph: CSRGraph,
-    config: LPAConfig,
-    *,
-    engine: str,
-    initial_labels,
-    initial_active,
-    warn_on_no_convergence: bool,
-    resilience,
-    profile: bool,
-    tracer,
-    budget,
-    cancel,
-    validation,
-) -> LPAResult:
-    """``config.degree_renumber``: run on the degree-sorted graph.
+def _restore(run: _Run, state: CheckpointState) -> None:
+    """Reinstate a checkpointed boundary (resume and integrity rewind)."""
+    run.labels[:] = state.labels
+    run.frontier.flags[:] = state.flags
+    run.iterations = list(state.stats)
+    run.converged = state.converged
+    run.degraded_reason = None
+    run.li = state.iteration
+    run.supervisor.restore_state(state)
 
-    Renumbering vertices by ascending degree makes each wave's adjacency
-    gathers walk near-contiguous CSR ranges (the two-kernel partition is a
-    *slice* of the id space instead of a scatter), at the cost of one up-
-    front permutation.  The returned labels are mapped back to the original
-    numbering, and because default labels are vertex ids the label *values*
-    are permuted too — the partition is identical to a non-renumbered run
-    up to this renaming, but not bit-identical (documented on the flag).
 
-    ``initial_labels`` is rejected: caller-supplied label values are opaque
-    (they need not be vertex ids), so there is no faithful way to renumber
-    them and un-renumber the result.
-    """
-    if initial_labels is not None:
-        raise ConfigurationError(
-            "degree_renumber cannot be combined with initial_labels: "
-            "custom label values are opaque and cannot be renumbered"
-        )
-    n = graph.num_vertices
-    sorted_graph, perm = graph.sorted_by_degree()
-    inner_config = replace(config, degree_renumber=False)
+# --------------------------------------------------------------------- #
+# Iteration-boundary steps, in the order they run
+# --------------------------------------------------------------------- #
 
-    remapped_active = None
-    if initial_active is not None:
-        active = np.asarray(initial_active, dtype=np.int64)
-        if active.shape[0] and (active.min() < 0 or active.max() >= n):
-            raise ConfigurationError("initial_active vertex id out of range")
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[perm] = np.arange(n, dtype=np.int64)
-        remapped_active = inverse[active]
 
-    result = nu_lpa(
-        sorted_graph,
-        inner_config,
-        engine=engine,
-        initial_active=remapped_active,
-        warn_on_no_convergence=warn_on_no_convergence,
-        resilience=resilience,
-        profile=profile,
-        tracer=tracer,
-        budget=budget,
-        cancel=cancel,
-    )
-    # New vertex k is old vertex perm[k]; a label is itself a (new) vertex
-    # id, so both the positions and the values map through perm.
-    restored = np.empty(n, dtype=VERTEX_DTYPE)
-    restored[perm] = perm[result.labels]
-    result.labels = restored
-    result.validation = validation
-    return result
+def _budget_step(run: _Run, meter: BudgetMeter):
+    """Budget check: a breach stops the run with the best-so-far partition
+    instead of raising — LPA's partition at any boundary is a valid (if
+    unpolished) answer.  Every iteration is charged — including the
+    converging one, whose work is just as real — but a converged run is
+    complete, so only unconverged runs can be degraded by a breach."""
+
+    def charge(li: int, outcome) -> None:
+        meter.charge(outcome.counters)
+        if run.converged:
+            return
+        run.degraded_reason = reason = meter.breached()
+        if reason is None:
+            return
+        if run.tracing:
+            run.tracer.emit(BudgetEvent(
+                iteration=li,
+                reason=reason,
+                wall_spent=meter.wall_spent,
+                gpu_spent=meter.gpu_spent,
+            ))
+        if run.supervisor is not None:
+            run.supervisor.record_completed(
+                li, "RunBudgetBreach",
+                f"budget limit {reason!r} reached after {meter.iterations} "
+                f"iteration(s); returning best-so-far partition",
+                "budget-stop",
+            )
+
+    return charge
+
+
+def _cancel_step(run: _Run, cancel):
+    """Cooperative cancellation (signal handlers, service shutdown),
+    handled like a budget breach: final snapshot, best-so-far labels, no
+    exception."""
+
+    def poll(li: int, outcome) -> None:
+        if run.degraded_reason is None and not run.converged and cancel():
+            run.degraded_reason = "interrupted"
+
+    return poll
+
+
+def _audit_step(run: _Run, guard: IntegrityGuard, ckpt, digest: str):
+    """Boundary integrity audit — *before* the checkpoint save, so a
+    corrupted state is never made durable.  The supervisor ladder cannot
+    replay a whole boundary; the repair rung here is a rewind to the
+    newest verified checkpoint (bounded by ``max_rewinds``), after which
+    the loop redoes the lost work."""
+
+    def audit(li: int, outcome) -> bool:
+        try:
+            guard.at_boundary(run.labels, iteration=li)
+        except CorruptionDetectedError:
+            state = ckpt.latest() if ckpt is not None else None
+            if (
+                state is None
+                or state.digest != digest
+                or guard.rewinds >= guard.config.max_rewinds
+            ):
+                raise
+            _restore(run, state)
+            guard.note_rewind(run.labels)
+            if run.tracing:
+                run.tracer.emit(IntegrityEvent(
+                    iteration=run.li,
+                    check="boundary",
+                    action="rewind",
+                    detail=(
+                        f"restored verified checkpoint at iteration "
+                        f"{run.li} (rewind {guard.rewinds}/"
+                        f"{guard.config.max_rewinds})"
+                    ),
+                ))
+            return True
+        return False
+
+    return audit
+
+
+def _save_step(run: _Run, ckpt: CheckpointManager, digest: str):
+    """Snapshot at the iteration boundary: the state here is exactly what
+    a deterministic re-run would hold entering iteration ``li + 1``, so a
+    killed run resumes bit-identically.  A budget breach or a cancel also
+    snapshots, so a later resume can finish the work."""
+
+    def save(li: int, outcome) -> None:
+        if not (ckpt.due(li + 1) or run.converged or run.degraded_reason is not None):
+            return
+        # Checkpoint staging is a real (transient) device buffer: reserve
+        # it for the duration of the save.  Under memory pressure the
+        # snapshot is *skipped* — a missing checkpoint costs redone work
+        # on resume, never correctness — and the skip is recorded.
+        governor, staging = run.governor, 0
+        if governor is not None:
+            try:
+                staging = governor.reserve(
+                    "checkpoint", run.labels.nbytes + run.frontier.flags.nbytes
+                )
+            except DeviceOomError as exc:
+                run.supervisor.record_completed(
+                    li, type(exc).__name__,
+                    f"checkpoint staging skipped: {exc}", "checkpoint-skip",
+                )
+                return
+        try:
+            ckpt.save(CheckpointState(
+                labels=run.labels,
+                flags=run.frontier.flags,
+                iteration=li + 1,
+                digest=digest,
+                converged=run.converged,
+                stats=run.iterations,
+                **run.supervisor.checkpoint_fields(),
+            ))
+        finally:
+            if staging:
+                governor.release("checkpoint", staging)
+
+    return save

@@ -79,23 +79,26 @@ _SUFFIX = ".npz"
 
 
 def run_digest(graph: CSRGraph, config: LPAConfig, engine: str) -> str:
-    """Fingerprint of everything that must match for a resume to be valid."""
-    payload = "|".join(
-        str(part)
-        for part in (
-            graph.num_vertices,
-            graph.num_edges,
-            engine,
-            config.tolerance,
-            config.pl_period,
-            config.cc_period,
-            config.switch_degree,
-            config.probing.value,
-            np.dtype(config.value_dtype).name,
-            config.pruning,
-            config.shared_memory_tables,
-        )
-    )
+    """Fingerprint of everything that must match for a resume to be valid.
+
+    ``degree_renumber`` (a permuted vertex space) counts only when set, so
+    default runs keep their digests."""
+    parts = [
+        graph.num_vertices,
+        graph.num_edges,
+        engine,
+        config.tolerance,
+        config.pl_period,
+        config.cc_period,
+        config.switch_degree,
+        config.probing.value,
+        np.dtype(config.value_dtype).name,
+        config.pruning,
+        config.shared_memory_tables,
+    ]
+    if config.degree_renumber:
+        parts.append("degree_renumber")
+    payload = "|".join(str(part) for part in parts)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -128,22 +128,29 @@ class KernelSupervisor:
         """The engine's hashtable ``capacity_scale`` (1 without tables)."""
         return getattr(getattr(self.engine, "tables", None), "capacity_scale", 1)
 
-    def restore_state(
-        self, *, injector_fires: int, last_pl_fraction: float | None,
-        capacity_scale: int = 1,
-    ) -> None:
-        """Reinstate cross-iteration supervisor state from a checkpoint.
+    def checkpoint_fields(self) -> dict:
+        """The cross-iteration state a checkpoint carries for this
+        supervisor (:class:`~repro.resilience.checkpoint.CheckpointState`
+        keyword arguments; :meth:`restore_state` reads them back)."""
+        return {
+            "injector_fires": self.injector.fires if self.injector is not None else 0,
+            "last_pl_fraction": self.last_pl_fraction,
+            "capacity_scale": self.capacity_scale,
+        }
+
+    def restore_state(self, state) -> None:
+        """Reinstate :meth:`checkpoint_fields` from a checkpoint ``state``.
 
         Slot order follows table capacity and breaks max-reduce ties, so
         the tables are resized to the checkpoint's scale (the integrity
         guard's DMR twin follows the engine the same way).
         """
         if self.injector is not None:
-            self.injector.fires = injector_fires
-        self.last_pl_fraction = last_pl_fraction
-        while self.capacity_scale < capacity_scale:
+            self.injector.fires = state.injector_fires
+        self.last_pl_fraction = state.last_pl_fraction
+        while self.capacity_scale < state.capacity_scale:
             self.engine.grow_tables()
-        while self.capacity_scale > capacity_scale:
+        while self.capacity_scale > state.capacity_scale:
             self.engine.shrink_tables()
 
     def _wave_hook(self, ctx: FaultContext) -> None:
@@ -318,17 +325,7 @@ class KernelSupervisor:
             if self.resilience.strict_pl_monotone:
                 self.last_pl_fraction = fraction
                 raise InvariantViolation(message)
-            self.report.append(
-                FaultEvent(
-                    iteration=iteration,
-                    attempt=0,
-                    fault="pl-monotone",
-                    detail=message,
-                    action="flagged",
-                    engine=self.engine.name,
-                    status=LaunchStatus.COMPLETED,
-                )
-            )
+            self.record_completed(iteration, "pl-monotone", message, "flagged")
         self.last_pl_fraction = fraction
 
     # ------------------------------------------------------------------ #
@@ -338,6 +335,17 @@ class KernelSupervisor:
         if delay > 0:
             time.sleep(delay)
         return delay
+
+    def record_completed(
+        self, iteration: int, fault: str, detail: str, action: str
+    ) -> None:
+        """Record a decision taken on a completed launch (no ladder rung):
+        a flagged invariant, a budget stop, a skipped checkpoint."""
+        self.report.append(FaultEvent(
+            iteration=iteration, attempt=0, fault=fault, detail=detail,
+            action=action, engine=self.engine.name,
+            status=LaunchStatus.COMPLETED,
+        ))
 
     def _record(
         self,

@@ -824,9 +824,9 @@ class DetectionService:
         cfg = self._job_config(spec)
         resilience = self._resilience_for(spec, engine) if supervised else None
         budget = record.remaining_budget()
-        t0 = time.perf_counter()
-        try:
-            result = nu_lpa(
+
+        def detect():
+            return nu_lpa(
                 graph, cfg, engine=engine,
                 warn_on_no_convergence=False,
                 resilience=resilience,
@@ -834,21 +834,17 @@ class DetectionService:
                 budget=budget,
                 cancel=(lambda: self.stop_requested),
             )
+
+        t0 = time.perf_counter()
+        try:
+            result = detect()
         except CheckpointError:
             # A stale per-job checkpoint (e.g. the breaker rerouted this
             # job to a different engine than a pre-crash attempt used):
             # scrub it and rerun fresh — determinism makes that safe.
             self._scrub_job_checkpoints(spec.job_id)
             try:
-                result = nu_lpa(
-                    graph, cfg, engine=engine,
-                    warn_on_no_convergence=False,
-                    resilience=self._resilience_for(spec, engine)
-                    if supervised else None,
-                    validate=spec.validate,
-                    budget=budget,
-                    cancel=(lambda: self.stop_requested),
-                )
+                result = detect()
             except ReproError as exc:
                 return self._attempt_failed(record, engine, exc, t0)
         except ReproError as exc:

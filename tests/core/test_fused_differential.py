@@ -162,6 +162,10 @@ class TestDegreeRenumber:
         q_base = modularity(small_web, base.labels)
         assert q_renum > 0.5 * q_base > 0
 
+    def test_result_reports_the_callers_config(self, small_web):
+        config = LPAConfig(degree_renumber=True)
+        assert nu_lpa(small_web, config).config == config
+
     def test_rejects_initial_labels(self, small_web):
         with pytest.raises(ConfigurationError):
             nu_lpa(

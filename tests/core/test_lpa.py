@@ -191,6 +191,15 @@ class TestConvergenceWarningDefault:
             r = nu_lpa(ring, LPAConfig(pl_period=None))
         assert r.converged is False
 
+    @pytest.mark.parametrize("renumber", [False, True], ids=["plain", "renumbered"])
+    def test_warning_points_at_the_caller(self, renumber):
+        from repro.errors import ConvergenceWarning
+
+        ring = watts_strogatz(64, 2, 0.0, seed=1)
+        with pytest.warns(ConvergenceWarning) as record:
+            nu_lpa(ring, LPAConfig(pl_period=None, degree_renumber=renumber))
+        assert [w.filename for w in record] == [__file__]
+
     def test_opt_out_suppresses(self):
         import warnings
 

@@ -256,6 +256,13 @@ class TestRunDigest:
             graph, LPAConfig(tolerance=0.01), "v"
         )
 
+    def test_degree_renumber_changes_digest_only_when_set(self, graph):
+        # Pinned: default runs keep the digest their checkpoints carry.
+        assert run_digest(graph, LPAConfig(), "hashtable") == "da3a115fb816ccc8"
+        assert run_digest(graph, LPAConfig(), "hashtable") != run_digest(
+            graph, LPAConfig(degree_renumber=True), "hashtable"
+        )
+
     def test_max_iterations_excluded(self, graph):
         # a killed run may legitimately be resumed with a higher cap
         assert run_digest(graph, LPAConfig(max_iterations=3), "v") == run_digest(
@@ -335,6 +342,38 @@ class TestResume:
                 graph, engine="vectorized",  # different engine than checkpoint
                 resilience=ckpt_config(tmp_path, resume=True),
             )
+
+    @pytest.mark.parametrize("saved", [True, False], ids=["renumbered", "plain"])
+    def test_degree_renumber_toggle_refuses(self, tmp_path, graph, saved):
+        # A renumbered run checkpoints in the permuted vertex space, so
+        # resuming it with the flag toggled must refuse, not mix spaces.
+        nu_lpa(
+            graph, LPAConfig(max_iterations=2, degree_renumber=saved),
+            engine="vectorized", resilience=ckpt_config(tmp_path),
+            warn_on_no_convergence=False,
+        )
+        with pytest.raises(CheckpointError, match="different run"):
+            nu_lpa(
+                graph, LPAConfig(degree_renumber=not saved),
+                engine="vectorized",
+                resilience=ckpt_config(tmp_path, resume=True),
+            )
+
+    def test_renumbered_run_resumes_bit_identical(self, tmp_path, graph):
+        config = LPAConfig(degree_renumber=True)
+        baseline = nu_lpa(graph, config, engine="hashtable",
+                          warn_on_no_convergence=False)
+        nu_lpa(
+            graph, config.with_(max_iterations=2), engine="hashtable",
+            resilience=ckpt_config(tmp_path), warn_on_no_convergence=False,
+        )
+        resumed = nu_lpa(
+            graph, config, engine="hashtable",
+            resilience=ckpt_config(tmp_path, resume=True),
+            warn_on_no_convergence=False,
+        )
+        assert resumed.resumed_from == 2
+        assert np.array_equal(resumed.labels, baseline.labels)
 
     def test_checkpoint_every_writes_fewer_files(self, tmp_path, graph):
         nu_lpa(

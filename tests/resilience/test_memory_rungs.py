@@ -10,6 +10,7 @@ with a balanced ledger (``in_use == 0``, ``underflows == 0``).
 import numpy as np
 import pytest
 
+import repro.core.lpa as lpa_mod
 from repro.core.config import LPAConfig, ResilienceConfig
 from repro.core.engine_hashtable import HashtableEngine
 from repro.core.lpa import nu_lpa
@@ -219,3 +220,48 @@ class TestLadderEndToEnd:
         clean = nu_lpa(graph, config, engine="vectorized",
                        warn_on_no_convergence=False)
         assert np.array_equal(result.labels, clean.labels)
+
+
+class _RefusesCheckpointStaging(MemoryGovernor):
+    """A ledger that admits everything except checkpoint staging."""
+
+    def reserve(self, region, nbytes):
+        if region == "checkpoint":
+            raise self.oom(region, nbytes)
+        return super().reserve(region, nbytes)
+
+
+class TestCheckpointStaging:
+    """A refused staging reservation skips the save, never the run."""
+
+    def _run(self, graph, ckpt_dir):
+        return nu_lpa(
+            graph,
+            LPAConfig(max_iterations=8, memory_budget_bytes=10**9),
+            engine="hashtable",
+            warn_on_no_convergence=False,
+            resilience=ResilienceConfig(checkpoint_dir=ckpt_dir),
+        )
+
+    def test_refused_staging_skips_every_save(self, graph, tmp_path, monkeypatch):
+        # Sanity: with staging admitted, every boundary writes a snapshot.
+        admitted = self._run(graph, tmp_path / "admitted")
+        assert len(list((tmp_path / "admitted").glob("ckpt-*.npz"))) == (
+            admitted.num_iterations
+        )
+        assert admitted.memory["in_use_bytes"] == 0
+
+        monkeypatch.setattr(lpa_mod, "MemoryGovernor", _RefusesCheckpointStaging)
+        result = self._run(graph, tmp_path / "refused")
+        skips = [ev for ev in result.fault_events if ev.action == "checkpoint-skip"]
+        assert [ev.iteration for ev in skips] == list(range(result.num_iterations))
+        assert all(ev.fault == "DeviceOomError" for ev in skips)
+        assert all("checkpoint staging skipped" in ev.detail for ev in skips)
+        assert not list((tmp_path / "refused").glob("ckpt-*.npz"))
+        assert result.memory["in_use_bytes"] == 0
+        assert result.memory["underflows"] == 0
+        assert result.memory["ooms"] == len(skips)
+
+        ungoverned = nu_lpa(graph, LPAConfig(max_iterations=8), engine="hashtable",
+                            warn_on_no_convergence=False)
+        assert np.array_equal(result.labels, ungoverned.labels)

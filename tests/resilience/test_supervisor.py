@@ -7,6 +7,7 @@ from repro.core.config import LPAConfig, ResilienceConfig
 from repro.core.lpa import make_engine, nu_lpa
 from repro.errors import ConfigurationError, ResilienceExhaustedError
 from repro.graph.generators import rmat_graph, road_network, web_graph
+from repro.resilience.checkpoint import CheckpointState
 from repro.resilience.faults import FAULT_KINDS, FaultSpec
 
 ENGINES = ["hashtable", "vectorized"]
@@ -184,13 +185,19 @@ class TestInvariantEnforcement:
         assert hook("vectorized", faults=FaultSpec()) is not None
 
 
+def _state(**fields) -> CheckpointState:
+    empty = np.empty(0, dtype=np.int64)
+    return CheckpointState(labels=empty, flags=empty, iteration=0, digest="", **fields)
+
+
 class TestRestoreState:
     def test_tables_follow_the_checkpoint_capacity_scale(self, small_web):
         from repro.resilience.supervisor import KernelSupervisor
 
         eng = make_engine(small_web, LPAConfig(), "hashtable")
         sup = KernelSupervisor(eng, small_web, LPAConfig(), ResilienceConfig())
-        sup.restore_state(injector_fires=0, last_pl_fraction=None, capacity_scale=4)
+        sup.restore_state(_state(capacity_scale=4))
         assert eng.tables.capacity_scale == 4 == sup.capacity_scale
-        sup.restore_state(injector_fires=0, last_pl_fraction=None, capacity_scale=1)
+        assert sup.checkpoint_fields()["capacity_scale"] == 4
+        sup.restore_state(_state(capacity_scale=1))
         assert eng.tables.capacity_scale == 1
