@@ -23,7 +23,7 @@ from repro.errors import GraphConstructionError
 from repro.graph.build import coo_to_csr, deduplicate_edges, symmetrize_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import connected_components
-from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
+from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
 __all__ = [
     "induced_subgraph",
@@ -31,6 +31,7 @@ __all__ = [
     "permute_vertices",
     "remove_self_loops",
     "community_subgraph",
+    "ArcIndex",
     "add_edges",
     "remove_edges",
     "update_weights",
@@ -146,8 +147,129 @@ def _delta_edge_arrays(
     return src, dst, w, n
 
 
-def _arc_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    return src.astype(np.int64) * np.int64(max(n, 1)) + dst.astype(np.int64)
+_COMBINES = ("max", "sum", "first")
+
+
+class ArcIndex:
+    """A graph's arcs addressed by key ``src * max(n, 1) + dst``, plus the
+    one merge every edge delta goes through.
+
+    ``num_vertices`` is the vertex count *after* the change; it may grow
+    the graph.  Rows built by :func:`~repro.graph.build.from_edges` and by
+    :meth:`merge` are key-sorted (strictly increasing keys), so for them
+    the arcs are their own index and a change of k arcs costs
+    O(|E| + k log |E|).  Other rows (from :func:`permute_vertices`, say,
+    or parallel arcs) are looked up through one stable argsort of their
+    keys.  ``resort`` asks for key-sorted rows with parallel arcs coalesced
+    by ``combine``, which is what any insert or vertex-set growth returns
+    (and what inserting needs); without it the rows keep their order.
+    """
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        num_vertices: int | None = None,
+        *,
+        resort: bool = False,
+        combine: str = "max",
+    ) -> None:
+        n = graph.num_vertices if num_vertices is None else int(num_vertices)
+        self.graph = graph
+        self.num_vertices = n
+        self.resort = resort or n > graph.num_vertices
+        self.key_n = np.int64(max(n, 1))
+        src = graph.source_ids()
+        offsets, targets, weights = graph.offsets, graph.targets, graph.weights
+        keys = src * self.key_n + targets
+        order = None
+        if keys.shape[0] > 1 and not np.all(keys[1:] > keys[:-1]):
+            if self.resort:
+                src, targets, weights = deduplicate_edges(
+                    src, targets, weights, num_vertices=n, combine=combine
+                )
+                offsets = np.zeros(graph.num_vertices + 1, dtype=OFFSET_DTYPE)
+                np.cumsum(np.bincount(src, minlength=graph.num_vertices),
+                          out=offsets[1:])
+                keys = src * self.key_n + targets
+            else:
+                order = np.argsort(keys, kind="stable")
+        self._src, self._offsets = src, offsets
+        self._targets, self._weights = targets, weights
+        self._order = order
+        self._sorted_keys = keys if order is None else keys[order]
+
+    def key(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        return src.astype(np.int64) * self.key_n + dst.astype(np.int64)
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each key's arcs start in key order, and how many there are."""
+        first = np.searchsorted(self._sorted_keys, keys, side="left")
+        return first, np.searchsorted(self._sorted_keys, keys, side="right") - first
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(found, weight)`` of each key's (first) arc."""
+        first, count = self.find(keys)
+        found = count > 0
+        pos = first[found]
+        if self._order is not None:
+            pos = self._order[pos]
+        weight = np.zeros(keys.shape[0], dtype=WEIGHT_DTYPE)
+        weight[found] = self._weights[pos]
+        return found, weight
+
+    def merge(
+        self, keys: np.ndarray, weights: np.ndarray, present: np.ndarray
+    ) -> CSRGraph:
+        """The graph with arc ``keys[i]`` set to ``weights[i]`` (inserted
+        when new) where ``present[i]``, and dropped where not.
+
+        ``keys`` must be sorted and unique.  Weights are overwritten in
+        place, dropped arcs masked out, new arcs inserted at their key
+        position, and the offsets rebuilt from per-row count deltas.
+        """
+        if keys.shape[0] == 0 and not self.resort:
+            return self.graph
+        first, count = self.find(keys)
+        # Every existing arc a change names, as a position in CSR order.
+        owner = np.repeat(np.arange(keys.shape[0]), count)
+        pos = (np.repeat(first - np.cumsum(count) + count, count)
+               + np.arange(owner.shape[0]))
+        if self._order is not None:
+            pos = self._order[pos]
+        kept = present[owner]
+        new_w = np.array(self._weights, dtype=WEIGHT_DTYPE)
+        new_w[pos[kept]] = weights[owner[kept]]
+        drop = pos[~kept]
+        fresh = present & (count == 0)
+        if fresh.any() and not self.resort:
+            raise GraphConstructionError(
+                "ArcIndex.merge: inserting arcs needs an index built with "
+                "resort=True"
+            )
+        targets = self._targets
+        if self.resort:
+            targets = targets.astype(VERTEX_DTYPE, copy=False)
+        elif present.all():
+            return CSRGraph(self._offsets, targets, new_w, validate=False)
+
+        counts = np.zeros(self.num_vertices, dtype=OFFSET_DTYPE)
+        counts[: self.graph.num_vertices] = np.diff(self._offsets)
+        if drop.shape[0]:
+            keep = np.ones(targets.shape[0], dtype=bool)
+            keep[drop] = False
+            targets, new_w = targets[keep], new_w[keep]
+            np.subtract.at(counts, self._src[drop], 1)
+        if fresh.any():
+            at = first[fresh]
+            if drop.shape[0]:
+                at = at - np.searchsorted(np.sort(drop), at)
+            new_keys = keys[fresh]
+            targets = np.insert(targets, at, new_keys % self.key_n)
+            new_w = np.insert(new_w, at, weights[fresh])
+            np.add.at(counts, new_keys // self.key_n, 1)
+        offsets = np.zeros(self.num_vertices + 1, dtype=OFFSET_DTYPE)
+        np.cumsum(counts, out=offsets[1:])
+        return CSRGraph(offsets, targets, new_w, validate=False)
 
 
 def add_edges(
@@ -167,21 +289,52 @@ def add_edges(
     duplicates with ``combine`` (``"max"`` by default, matching the build
     pipeline, so re-inserting an existing edge is idempotent; ``"sum"``
     gives multigraph accumulation).  ``num_vertices`` may grow the vertex
-    set; new vertices start isolated until an edge reaches them.
+    set; new vertices start isolated until an edge reaches them.  The
+    result's rows are key-sorted.
     """
     src, dst, w, n = _delta_edge_arrays(
         graph, src, dst, weights, num_vertices=num_vertices, what="add_edges"
     )
     if src.shape[0] == 0 and n == graph.num_vertices:
         return graph
+    if combine not in _COMBINES:
+        raise GraphConstructionError(f"unknown combine mode {combine!r}")
+    arcs = ArcIndex(graph, n, resort=True, combine=combine)
     add_src, add_dst, add_w = symmetrize_edges(src, dst, w)
-    all_src = np.concatenate([graph.source_ids(), add_src])
-    all_dst = np.concatenate([graph.targets, add_dst])
-    all_w = np.concatenate([graph.weights, add_w])
+    # Each named arc's current weight goes first, then the inserted ones:
+    # the order a rebuild of the whole graph would combine them in.
+    named = np.unique(arcs.key(add_src, add_dst))
+    found, current = arcs.lookup(named)
+    named = named[found]
     m_src, m_dst, m_w = deduplicate_edges(
-        all_src, all_dst, all_w, num_vertices=n, combine=combine
+        np.concatenate([named // arcs.key_n, add_src]),
+        np.concatenate([named % arcs.key_n, add_dst]),
+        np.concatenate([current[found], add_w]),
+        num_vertices=n, combine=combine,
     )
-    return coo_to_csr(m_src, m_dst, m_w, n)
+    return arcs.merge(
+        arcs.key(m_src, m_dst), m_w, np.ones(m_w.shape[0], dtype=bool)
+    )
+
+
+def _check_missing(what: str, missing: str) -> None:
+    if missing not in ("error", "ignore"):
+        raise GraphConstructionError(
+            f"{what}: missing must be 'error' or 'ignore'; got {missing!r}"
+        )
+
+
+def _require_present(
+    what: str, arcs: ArcIndex, src: np.ndarray, dst: np.ndarray
+) -> None:
+    """Raise naming the first edge ``arcs`` does not have."""
+    _, count = arcs.find(arcs.key(src, dst))
+    if not count.all():
+        first = int(np.flatnonzero(count == 0)[0])
+        raise GraphConstructionError(
+            f"{what}: edge {int(src[first])}-{int(dst[first])} "
+            f"does not exist (pass missing='ignore' to skip)"
+        )
 
 
 def remove_edges(
@@ -200,39 +353,19 @@ def remove_edges(
     pipeline quarantines such deltas upstream and applies with
     ``"ignore"``.
     """
-    if missing not in ("error", "ignore"):
-        raise GraphConstructionError(
-            f"remove_edges: missing must be 'error' or 'ignore'; got {missing!r}"
-        )
+    _check_missing("remove_edges", missing)
     src, dst, _, n = _delta_edge_arrays(
         graph, src, dst, None, num_vertices=None, what="remove_edges"
     )
     if src.shape[0] == 0:
         return graph
-    g_src = graph.source_ids()
-    keys = _arc_keys(g_src, graph.targets, n)
-    order = np.argsort(keys, kind="stable")
-    skeys = keys[order]
-    # Both directions of every named edge.
-    drop_keys = np.unique(np.concatenate([
-        _arc_keys(src, dst, n), _arc_keys(dst, src, n)
-    ]))
+    arcs = ArcIndex(graph)
     if missing == "error":
-        pos = np.searchsorted(skeys, _arc_keys(src, dst, n))
-        pos_c = np.minimum(pos, max(skeys.shape[0] - 1, 0))
-        present = (
-            skeys[pos_c] == _arc_keys(src, dst, n)
-            if skeys.shape[0] else np.zeros(src.shape[0], dtype=bool)
-        )
-        if not present.all():
-            first = int(np.flatnonzero(~present)[0])
-            raise GraphConstructionError(
-                f"remove_edges: edge {int(src[first])}-{int(dst[first])} "
-                f"does not exist (pass missing='ignore' to skip)"
-            )
-    keep = ~np.isin(keys, drop_keys)
-    return coo_to_csr(
-        g_src[keep], graph.targets[keep], graph.weights[keep], n
+        _require_present("remove_edges", arcs, src, dst)
+    keys = np.unique(np.concatenate([arcs.key(src, dst), arcs.key(dst, src)]))
+    return arcs.merge(
+        keys, np.zeros(keys.shape[0], dtype=WEIGHT_DTYPE),
+        np.zeros(keys.shape[0], dtype=bool),
     )
 
 
@@ -247,15 +380,12 @@ def update_weights(
     """New graph with the weight of each edge ``(src[i], dst[i])`` replaced.
 
     Both directions of every named edge take the new weight (symmetric-arc
-    enforcement).  Duplicate updates to the same edge within one call
-    coalesce to the *last* occurrence, so a batch replays like a sequence.
+    enforcement).  Updates apply in call order, so the last one to name an
+    edge — in either orientation — wins on both arcs, as in a sequence.
     ``missing`` follows :func:`remove_edges`: ``"error"`` raises on an
     edge the graph does not have, ``"ignore"`` skips it.
     """
-    if missing not in ("error", "ignore"):
-        raise GraphConstructionError(
-            f"update_weights: missing must be 'error' or 'ignore'; got {missing!r}"
-        )
+    _check_missing("update_weights", missing)
     if weights is None:
         raise GraphConstructionError("update_weights: weights are required")
     src, dst, w, n = _delta_edge_arrays(
@@ -263,32 +393,19 @@ def update_weights(
     )
     if src.shape[0] == 0:
         return graph
-    # Last-write-wins coalescing of duplicate updates.
-    upd_keys = np.concatenate([_arc_keys(src, dst, n), _arc_keys(dst, src, n)])
-    upd_w = np.concatenate([w, w])
-    order = np.argsort(upd_keys, kind="stable")
-    ukeys, uw = upd_keys[order], upd_w[order]
-    last = np.ones(ukeys.shape[0], dtype=bool)
-    last[:-1] = ukeys[1:] != ukeys[:-1]
-    ukeys, uw = ukeys[last], uw[last]
-
-    keys = _arc_keys(graph.source_ids(), graph.targets, n)
-    pos = np.searchsorted(ukeys, keys)
-    pos_c = np.minimum(pos, ukeys.shape[0] - 1)
-    hit = ukeys[pos_c] == keys
+    arcs = ArcIndex(graph)
     if missing == "error":
-        # Every requested (forward) edge must have matched some arc.
-        fwd = _arc_keys(src, dst, n)
-        matched = np.isin(fwd, keys[hit])
-        if not matched.all():
-            first = int(np.flatnonzero(~matched)[0])
-            raise GraphConstructionError(
-                f"update_weights: edge {int(src[first])}-{int(dst[first])} "
-                f"does not exist (pass missing='ignore' to skip)"
-            )
-    new_w = np.array(graph.weights, copy=True)
-    new_w[hit] = uw[pos_c[hit]].astype(WEIGHT_DTYPE)
-    return CSRGraph(graph.offsets, graph.targets, new_w, validate=False)
+        _require_present("update_weights", arcs, src, dst)
+    keys = np.concatenate([arcs.key(src, dst), arcs.key(dst, src)])
+    calls = np.tile(np.arange(src.shape[0]), 2)
+    order = np.lexsort((calls, keys))
+    last = np.ones(order.shape[0], dtype=bool)
+    last[:-1] = keys[order[1:]] != keys[order[:-1]]
+    pick = order[last]
+    keys, w = keys[pick], np.tile(w, 2)[pick]
+    _, count = arcs.find(keys)
+    hit = count > 0
+    return arcs.merge(keys[hit], w[hit], np.ones(int(hit.sum()), dtype=bool))
 
 
 def community_subgraph(

@@ -7,6 +7,7 @@ from repro.errors import GraphConstructionError
 from repro.graph.build import from_edges
 from repro.graph.properties import is_symmetric
 from repro.graph.transform import (
+    ArcIndex,
     add_edges,
     remove_edges,
     update_weights,
@@ -196,3 +197,53 @@ class TestUpdateWeights:
         g = update_weights(weighted_triangle, [1], [2], [4.0])
         assert np.array_equal(g.offsets, weighted_triangle.offsets)
         assert np.array_equal(g.targets, weighted_triangle.targets)
+
+    def test_reversed_duplicate_update_keeps_arcs_symmetric(self, weighted_triangle):
+        # The later update names the edge the other way round; it still
+        # wins on both arcs, as it would applied one after the other.
+        g = update_weights(weighted_triangle, [0, 1], [1, 0], [2.0, 5.0])
+        assert _weight(g, 0, 1) == 5.0
+        assert _weight(g, 1, 0) == 5.0
+
+
+def _weight(graph, a, b):
+    return graph.weights[graph.offsets[a] + graph.neighbors(a).tolist().index(b)]
+
+
+def _unsorted_rows():
+    """A path 0-1-2-3 renumbered so rows are not key-sorted."""
+    g = permute_vertices(from_edges([0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0]),
+                         np.array([2, 0, 3, 1]))
+    assert g.neighbors(0).tolist() == [3, 2]
+    return g
+
+
+class TestArcIndex:
+    def test_update_and_remove_keep_unsorted_row_order(self):
+        g = _unsorted_rows()
+        up = update_weights(g, [3], [0], [9.0])
+        assert np.array_equal(up.targets, g.targets)
+        assert _weight(up, 0, 3) == _weight(up, 3, 0) == 9.0
+        cut = remove_edges(g, [1], [3])
+        assert cut.neighbors(0).tolist() == [3, 2]
+        assert cut.neighbors(3).tolist() == [0]
+
+    def test_add_returns_key_sorted_rows(self):
+        g = add_edges(_unsorted_rows(), [0], [3])
+        for v in range(g.num_vertices):
+            assert np.all(np.diff(g.neighbors(v)) > 0)
+
+    def test_add_coalesces_parallel_arcs(self):
+        multi = from_edges([0, 0], [1, 1], [2.0, 5.0], dedupe=False)
+        assert multi.num_edges == 4
+        g = add_edges(multi, [1], [2], num_vertices=3)
+        assert g.num_edges == 4
+        assert _weight(g, 0, 1) == _weight(g, 1, 0) == 5.0
+
+    def test_insert_needs_resort(self, triangle):
+        arcs = ArcIndex(triangle, 4)  # growth implies resort
+        assert arcs.resort
+        arcs = ArcIndex(triangle)
+        with pytest.raises(GraphConstructionError):
+            arcs.merge(arcs.key(np.array([0]), np.array([0])),
+                       np.ones(1, dtype=np.float32), np.ones(1, dtype=bool))

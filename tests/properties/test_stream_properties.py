@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.build import from_edges
+from repro.graph.datasets import dataset_names, generate_standin
 from repro.stream.delta import DeltaBatch, DeltaOp
 from repro.stream.epoch import apply_batch
 
@@ -28,7 +29,8 @@ def delta_logs(draw, max_vertices=12, max_batches=5, max_ops=6):
 
     Ops are generated against a tracked edge set so removes/updates always
     name a live edge — the property under test is replay determinism, not
-    quarantine (covered by the unit tests).
+    quarantine (covered by the unit tests).  Removes and updates name the
+    edge in either orientation.
     """
     n = draw(st.integers(min_value=4, max_value=max_vertices))
     edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
@@ -49,12 +51,13 @@ def delta_logs(draw, max_vertices=12, max_batches=5, max_ops=6):
                 ops.append(DeltaOp("add", a, b, weight=w))
             elif edges:
                 key = draw(st.sampled_from(sorted(edges)))
+                a, b = key if draw(st.booleans()) else key[::-1]
                 if kind == "remove":
                     edges.discard(key)
-                    ops.append(DeltaOp("remove", key[0], key[1]))
+                    ops.append(DeltaOp("remove", a, b))
                 else:
                     w = draw(st.floats(0.1, 10.0, allow_nan=False))
-                    ops.append(DeltaOp("update", key[0], key[1], weight=w))
+                    ops.append(DeltaOp("update", a, b, weight=w))
         batches.append(DeltaBatch(ops=tuple(ops)))
     return n, batches
 
@@ -102,3 +105,33 @@ class TestReplayDeterminism:
         for batch in batches:
             graph = apply_batch(graph, batch).graph
             assert is_symmetric(graph)
+
+
+def _key_sorted(graph):
+    """Every row's targets strictly increase: arc keys ``src * n + dst``
+    are strictly increasing in CSR order (the order the delta merge
+    relies on)."""
+    keys = graph.source_ids() * max(graph.num_vertices, 1) + graph.targets
+    return bool(np.all(np.diff(keys) > 0))
+
+
+class TestKeySortedRows:
+    def test_standins_are_key_sorted(self):
+        for name in dataset_names():
+            assert _key_sorted(generate_standin(name, scale=0.05, seed=3)), name
+
+    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_from_edges_is_key_sorted(self, edges):
+        graph = from_edges([e[0] for e in edges], [e[1] for e in edges],
+                           num_vertices=16)
+        assert _key_sorted(graph)
+
+    @given(delta_logs())
+    @settings(max_examples=50, deadline=None)
+    def test_apply_batch_keeps_rows_key_sorted(self, data):
+        n, batches = data
+        graph = _base_graph(n)
+        for batch in batches:
+            graph = apply_batch(graph, batch).graph
+            assert _key_sorted(graph)

@@ -81,6 +81,18 @@ class TestApplyBatch:
         assert np.array_equal(a.targets, b.targets)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_reversed_duplicate_update_keeps_arcs_symmetric(self, square):
+        # Two updates of one edge, named both ways round, applied in order:
+        # the later weight lands on both arcs.
+        out = apply_batch(square, _batch(
+            DeltaOp("update", 0, 1, weight=2.0),
+            DeltaOp("update", 1, 0, weight=5.0),
+        ))
+        g = out.graph
+        assert out.updated == 2
+        assert g.weights[g.offsets[0] + g.neighbors(0).tolist().index(1)] == 5.0
+        assert g.weights[g.offsets[1] + g.neighbors(1).tolist().index(0)] == 5.0
+
     def test_empty_batch_noop(self, square):
         out = apply_batch(square, _batch())
         assert out.touched.shape[0] == 0
