@@ -33,7 +33,6 @@ __all__ = [
     "IntegrityGuard",
     "IntegrityReport",
     "fsck_all",
-    "IntegritySoakReport",
     "run_integrity_soak",
 ]
 
@@ -42,7 +41,6 @@ _LAZY = {
     # in the driver, which imports this package.  Loaded on first use.
     "IntegrityReport": "repro.integrity.fsck",
     "fsck_all": "repro.integrity.fsck",
-    "IntegritySoakReport": "repro.integrity.soak",
     "run_integrity_soak": "repro.integrity.soak",
 }
 

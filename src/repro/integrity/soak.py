@@ -23,8 +23,8 @@ reference) or **provably harmless** — never a silent wrong answer:
    recording the skip) or the flip must land in padding and the served
    labels stay correct.
 
-``benchmarks/bench_integrity_soak.py`` runs ≥ 20 schedules and writes
-the report as the ``BENCH_integrity_soak.json`` CI artifact.
+``benchmarks/bench_soak.py`` runs 20 schedules and writes the report as
+the ``BENCH_integrity_soak.json`` CI artifact.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from repro.graph.csr import CSRGraph
 from repro.integrity.config import IntegrityConfig
 from repro.integrity.fsck import fsck_all
 from repro.resilience.faults import FaultSpec
+from repro.soak import SoakReport
 
 __all__ = [
     "IntegritySoakRecord",
-    "IntegritySoakReport",
     "flip_bit",
     "run_integrity_soak",
 ]
@@ -101,76 +101,12 @@ class IntegritySoakRecord:
         """Detected-and-recovered or harmless, on every leg."""
         return self.live_identical and self.ckpt_identical and self.snap_identical
 
-    def as_dict(self) -> dict:
-        """JSON-ready representation."""
+    def counts(self) -> dict[str, int]:
         return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "silent": self.silent,
-            "live": {
-                "detections": self.live_detections,
-                "identical": self.live_identical,
-            },
-            "checkpoint": {
-                "flip": self.ckpt_flip,
-                "detected": self.ckpt_detected,
-                "identical": self.ckpt_identical,
-            },
-            "snapshot": {
-                "flip": self.snap_flip,
-                "detected": self.snap_detected,
-                "identical": self.snap_identical,
-            },
-            "guard": dict(self.guard),
+            "detection(s)": (
+                self.live_detections + self.ckpt_detected + self.snap_detected
+            ),
         }
-
-
-@dataclass
-class IntegritySoakReport:
-    """All schedules of one integrity soak."""
-
-    engine: str
-    num_vertices: int
-    num_edges: int
-    records: list[IntegritySoakRecord] = field(default_factory=list)
-
-    @property
-    def silent(self) -> int:
-        """Total silent wrong answers across every schedule (must be 0)."""
-        return sum(r.silent for r in self.records)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records) and self.silent == 0
-
-    def summary(self) -> str:
-        """One-line digest."""
-        detected = sum(
-            r.live_detections + r.ckpt_detected + r.snap_detected
-            for r in self.records
-        )
-        wrong = sum(not r.ok for r in self.records)
-        return (
-            f"{len(self.records)} schedule(s): {detected} detection(s), "
-            f"{self.silent} silent, {wrong} wrong"
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (the CI artifact body)."""
-        return {
-            "schema": "repro.observe/integrity-soak",
-            "version": 1,
-            "engine": self.engine,
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "ok": self.ok,
-            "silent": self.silent,
-            "summary": self.summary(),
-            "records": [r.as_dict() for r in self.records],
-        }
-
-
-# --------------------------------------------------------------------- #
 
 
 def _run_live(
@@ -179,7 +115,6 @@ def _run_live(
     engine: str,
     reference: np.ndarray,
     rng: np.random.Generator,
-    seed: int,
 ) -> tuple[int, bool, dict]:
     """Leg 1: SDC injection under the full guard stack."""
     n_targets = int(rng.integers(1, len(_SDC_TARGETS) + 1))
@@ -297,7 +232,7 @@ def run_integrity_soak(
     seed: int = 0,
     engine: str = "hashtable",
     config: LPAConfig | None = None,
-) -> IntegritySoakReport:
+) -> SoakReport:
     """Run ``seeds`` corruption schedules against ``graph``.
 
     Schedule *i* derives every random choice from
@@ -308,10 +243,13 @@ def run_integrity_soak(
     config = config or LPAConfig()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    report = IntegritySoakReport(
-        engine=engine,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
+    report = SoakReport(
+        kind="integrity",
+        metadata={
+            "engine": engine,
+            "num_vertices": graph.num_vertices,
+            "num_edges": graph.num_edges,
+        },
     )
     for i in range(seeds):
         rng = np.random.default_rng([seed, i])
@@ -326,7 +264,7 @@ def run_integrity_soak(
             ),
         )
         live_det, live_id, guard = _run_live(
-            graph, config, engine, reference.labels, rng, seed + i
+            graph, config, engine, reference.labels, rng
         )
         ckpt_flip, ckpt_det, ckpt_id = _run_ckpt_at_rest(
             graph, config, engine, reference.labels, ckpt_dir, rng

@@ -13,10 +13,12 @@ Entry points: ``nu_lpa(..., profile=True)`` / ``nu_lpa(..., tracer=t)``,
 the CLI's ``--profile`` / ``--trace-out``, and
 ``benchmarks/bench_profile_trajectory.py``.  See docs/observability.md.
 
-The package exports lazily (PEP 562): the engines import
-:mod:`repro.observe.trace` on their hot path, and resolving profile/schema
-names eagerly here would drag :mod:`repro.perf` (and through it the
-baselines) into that import, creating a cycle back into the engines.
+The profile names export lazily (PEP 562): the engines import
+:mod:`repro.observe.trace` on their hot path, and resolving profile names
+eagerly here would drag :mod:`repro.perf` (and through it the baselines)
+into that import, creating a cycle back into the engines.  The schema
+module imports nothing heavy; its ``__all__`` is this package's schema
+export list.
 """
 
 from repro.observe.trace import (
@@ -38,6 +40,7 @@ from repro.observe.trace import (
     WaveEvent,
     counter_delta,
 )
+from repro.observe.schema import __all__ as _SCHEMA_NAMES
 
 __all__ = [
     "Tracer",
@@ -61,47 +64,10 @@ __all__ = [
     "IterationProfile",
     "KernelProfile",
     "build_profile",
-    "PROFILE_SCHEMA",
-    "PROFILE_SCHEMA_VERSION",
-    "BENCH_SCHEMA",
-    "BENCH_SCHEMA_VERSION",
-    "SERVICE_SCHEMA",
-    "SERVICE_SCHEMA_VERSION",
-    "STREAM_SOAK_SCHEMA",
-    "STREAM_SOAK_SCHEMA_VERSION",
-    "QUERY_BENCH_SCHEMA",
-    "QUERY_BENCH_SCHEMA_VERSION",
-    "MEMORY_SOAK_SCHEMA",
-    "MEMORY_SOAK_SCHEMA_VERSION",
-    "validate_profile",
-    "validate_bench",
-    "validate_service_stats",
-    "validate_stream_soak",
-    "validate_query_bench",
-    "validate_memory_soak",
+    *_SCHEMA_NAMES,
 ]
 
 _PROFILE_NAMES = {"RunProfile", "IterationProfile", "KernelProfile", "build_profile"}
-_SCHEMA_NAMES = {
-    "PROFILE_SCHEMA",
-    "PROFILE_SCHEMA_VERSION",
-    "BENCH_SCHEMA",
-    "BENCH_SCHEMA_VERSION",
-    "SERVICE_SCHEMA",
-    "SERVICE_SCHEMA_VERSION",
-    "STREAM_SOAK_SCHEMA",
-    "STREAM_SOAK_SCHEMA_VERSION",
-    "QUERY_BENCH_SCHEMA",
-    "QUERY_BENCH_SCHEMA_VERSION",
-    "MEMORY_SOAK_SCHEMA",
-    "MEMORY_SOAK_SCHEMA_VERSION",
-    "validate_profile",
-    "validate_bench",
-    "validate_service_stats",
-    "validate_stream_soak",
-    "validate_query_bench",
-    "validate_memory_soak",
-}
 
 
 def __getattr__(name: str):

@@ -1,23 +1,35 @@
-"""Versioned JSON schemas for profiles, traces, and benchmark baselines.
+"""Versioned JSON schemas for profiles, traces, benchmarks and soak reports.
 
-Two document families:
+Each document kind is a *spec*: a plain dict read by one dependency-free
+walker, :func:`validate` (the toolchain has no ``jsonschema``).  A failure
+raises :class:`~repro.errors.SchemaValidationError` naming the offending
+path, so CI failures point at the broken field rather than a generic
+mismatch.
 
-* ``repro.observe/profile`` — one run's :class:`~repro.observe.profile.
-  RunProfile` (optionally bundled with its raw trace by ``--trace-out``);
-* ``repro.observe/bench`` — the regression baseline ``BENCH_lpa.json``
-  written by ``benchmarks/bench_profile_trajectory.py``: one record per
-  Table-1 stand-in graph, carrying modelled seconds, summed counters, and
-  iteration counts for later PRs to diff against.
+A spec *rule* is either a type (``int``, ``bool``, ``str``, ``dict``,
+``list`` or :class:`numbers.Real`) or a dict with a ``"type"`` and any of:
 
-Validation is hand-rolled (the toolchain has no ``jsonschema``): each
-validator walks the document and raises
-:class:`~repro.errors.SchemaValidationError` naming the offending path, so
-CI failures point at the broken field rather than a generic mismatch.
+* ``"null": True`` — ``None`` is allowed;
+* ``"min"`` / ``"max"`` (inclusive), ``"gt"`` / ``"lt"`` (exclusive) —
+  numeric bounds;
+* ``"enum"`` — the allowed values;
+* ``"fields"`` — an object's required fields, each with its own rule
+  (other keys are allowed);
+* ``"keys"`` — an object's exact key set (or a callable returning it) and
+  ``"values"`` — the rule for every value;
+* ``"items"`` — the rule for every list element, ``"unique"`` — a field
+  no two elements may share, ``"min_len"`` — a minimum length, and
+  ``"len"`` — the sibling field holding the list's length;
+* ``"checks"`` — named cross-field checks ``check(obj, path)``, run after
+  the fields.
+
+A bool is never a number.
 """
 
 from __future__ import annotations
 
 import numbers
+from functools import partial
 
 from repro.errors import SchemaValidationError
 
@@ -28,14 +40,25 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "SERVICE_SCHEMA",
     "SERVICE_SCHEMA_VERSION",
-    "STREAM_SOAK_SCHEMA",
-    "STREAM_SOAK_SCHEMA_VERSION",
     "QUERY_BENCH_SCHEMA",
     "QUERY_BENCH_SCHEMA_VERSION",
+    "CHAOS_SOAK_SCHEMA",
+    "CHAOS_SOAK_SCHEMA_VERSION",
+    "SERVICE_SOAK_SCHEMA",
+    "SERVICE_SOAK_SCHEMA_VERSION",
+    "STREAM_SOAK_SCHEMA",
+    "STREAM_SOAK_SCHEMA_VERSION",
     "INTEGRITY_SOAK_SCHEMA",
     "INTEGRITY_SOAK_SCHEMA_VERSION",
     "MEMORY_SOAK_SCHEMA",
     "MEMORY_SOAK_SCHEMA_VERSION",
+    "SOAK_SCHEMA_VERSIONS",
+    "PROFILE_SPEC",
+    "BENCH_SPEC",
+    "SERVICE_SPEC",
+    "QUERY_BENCH_SPEC",
+    "SOAK_SPECS",
+    "validate",
     "validate_profile",
     "validate_bench",
     "validate_service_stats",
@@ -45,578 +68,563 @@ __all__ = [
     "validate_memory_soak",
 ]
 
+#: ``repro.observe/profile`` — one run's :class:`~repro.observe.profile.
+#: RunProfile` (optionally bundled with its raw trace by ``--trace-out``).
 PROFILE_SCHEMA = "repro.observe/profile"
 PROFILE_SCHEMA_VERSION = 1
 
+#: ``repro.observe/bench`` — the regression baseline ``BENCH_lpa.json``
+#: written by ``benchmarks/bench_profile_trajectory.py``: one record per
+#: Table-1 stand-in graph.  v2 adds the perf-gate fields: per-graph
+#: measured ``wall_seconds`` (vectorized engine) and a document-level
+#: ``calibration_seconds`` that normalises wall clocks across machines.
+#: v3 adds per-graph ``wall_seconds_hashtable`` (the ν-LPA hashtable
+#: engine's wall clock).
 BENCH_SCHEMA = "repro.observe/bench"
-#: v2 adds the perf-gate fields: per-graph measured ``wall_seconds``
-#: (vectorized engine) and a document-level ``calibration_seconds`` that
-#: normalises wall clocks across machines.  v3 adds per-graph
-#: ``wall_seconds_hashtable`` (the ν-LPA hashtable engine's wall clock)
-#: so the fused-sweep/compact-layout hot path is gated alongside the
-#: vectorized engine.
 BENCH_SCHEMA_VERSION = 3
 
 #: ``repro.observe/service`` — a :class:`~repro.service.service.
 #: DetectionService` health snapshot (``service.stats()`` / ``repro serve
-#: --stats-out``): queue depth and rejections, job-state counts,
-#: degradation-rung counts, breaker states, and modelled-clock latency
-#: percentiles.  The CI service-soak job uploads one of these.
+#: --stats-out``).  v2 adds the required ``batching`` section; v3 the
+#: required ``memory`` section (device-memory admission).
 SERVICE_SCHEMA = "repro.observe/service"
-#: v2 adds the required ``batching`` section (wave-batching counters:
-#: batches formed, jobs coalesced, launch-overhead seconds amortised).
-#: v3 adds the required ``memory`` section (device-memory admission:
-#: effective budget, combined in-flight footprint estimate and its
-#: high-water mark, typed-rejection / serialisation / degradation
-#: counters).
 SERVICE_SCHEMA_VERSION = 3
 
-#: ``repro.observe/stream-soak`` — the streaming-pipeline report written
-#: by ``benchmarks/bench_stream_soak.py``: per-seed kill/restart soak
-#: verdicts (:func:`repro.stream.run_stream_soak`) plus throughput
-#: (deltas applied per second), the mean warm-start frontier fraction,
-#: and the incremental-vs-from-scratch speedup.  The CI stream-soak job
-#: uploads one of these.
-STREAM_SOAK_SCHEMA = "repro.observe/stream-soak"
-STREAM_SOAK_SCHEMA_VERSION = 1
-
 #: ``repro.observe/query-bench`` — the read-path latency report written
-#: by ``benchmarks/bench_query.py``: per-graph p50/p99 latencies of the
-#: zipfian membership/roster/diff load, the membership p99 SLO verdict,
-#: and the O(1) flatness check across two graph sizes.  ``BENCH_query.
-#: json`` at the repo root is the committed baseline the CI query-bench
-#: job gates against.
+#: by ``benchmarks/bench_query.py``; ``BENCH_query.json`` at the repo root
+#: is the committed baseline the CI query-bench job gates against.
 QUERY_BENCH_SCHEMA = "repro.observe/query-bench"
 QUERY_BENCH_SCHEMA_VERSION = 1
 
-#: ``repro.observe/integrity-soak`` — the corruption-soak report written
-#: by ``benchmarks/bench_integrity_soak.py``: per-seed verdicts for the
-#: three corruption legs (live SDC injection under the ABFT guard stack,
-#: checkpoint bit rot, snapshot bit rot) from
-#: :func:`repro.integrity.run_integrity_soak`.  The CI integrity-soak job
-#: uploads one of these; ``silent`` must be 0.
+#: The five soak reports (:class:`repro.soak.SoakReport`), written by
+#: ``benchmarks/bench_soak.py`` as ``BENCH_<kind>_soak.json``.  Every one
+#: shares the envelope: ``num_seeds``, ``ok``, ``silent`` (must be 0),
+#: ``summary`` and one record per schedule, serialised flat through
+#: ``dataclasses.asdict`` plus the record's ``ok`` and ``silent``.
+#: Chaos and service soak reports are v1 (their first schema).  Stream
+#: v2 moves the old nested ``soak`` section into the envelope; integrity
+#: v2 and memory v2 flatten each record's legs into prefixed fields
+#: (``live_detections``, ``reconcile_within_tolerance``, ...).
+CHAOS_SOAK_SCHEMA = "repro.observe/chaos-soak"
+CHAOS_SOAK_SCHEMA_VERSION = 1
+SERVICE_SOAK_SCHEMA = "repro.observe/service-soak"
+SERVICE_SOAK_SCHEMA_VERSION = 1
+STREAM_SOAK_SCHEMA = "repro.observe/stream-soak"
+STREAM_SOAK_SCHEMA_VERSION = 2
 INTEGRITY_SOAK_SCHEMA = "repro.observe/integrity-soak"
-INTEGRITY_SOAK_SCHEMA_VERSION = 1
-
-#: ``repro.observe/memory-soak`` — the memory-pressure chaos report
-#: written by ``benchmarks/bench_memory_soak.py``: per-seed verdicts for
-#: the three pressure legs (live injected OOM faults under the
-#: supervisor's memory rungs, admission-time rejection of an oversized
-#: job, mid-run budget shrink) from
-#: :func:`repro.resilience.run_memory_soak`, plus the ledger-vs-estimate
-#: reconciliation.  The CI memory-soak job uploads one of these;
-#: ``silent`` must be 0 — every OOM is either absorbed by a degradation
-#: rung with valid labels or rejected with a typed error.
+INTEGRITY_SOAK_SCHEMA_VERSION = 2
 MEMORY_SOAK_SCHEMA = "repro.observe/memory-soak"
-MEMORY_SOAK_SCHEMA_VERSION = 1
+MEMORY_SOAK_SCHEMA_VERSION = 2
+
+SOAK_SCHEMA_VERSIONS = {
+    "chaos": CHAOS_SOAK_SCHEMA_VERSION,
+    "service": SERVICE_SOAK_SCHEMA_VERSION,
+    "stream": STREAM_SOAK_SCHEMA_VERSION,
+    "integrity": INTEGRITY_SOAK_SCHEMA_VERSION,
+    "memory": MEMORY_SOAK_SCHEMA_VERSION,
+}
+
+_REAL = numbers.Real
+_TYPE_NAMES = {_REAL: "number", dict: "object"}
 
 
 def _fail(path: str, message: str):
     raise SchemaValidationError(f"{path}: {message}")
 
 
-def _require(doc: dict, path: str, key: str, types, *, allow_none: bool = False):
-    if not isinstance(doc, dict):
-        _fail(path, f"expected object, got {type(doc).__name__}")
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if value is None and allow_none:
-        return value
-    # bool is an int subclass; reject it where a number is expected.
-    if isinstance(value, bool) and types is not bool and bool not in (
-        types if isinstance(types, tuple) else (types,)
+# --------------------------------------------------------------------- #
+# The walker
+# --------------------------------------------------------------------- #
+
+
+def validate(doc, spec, path: str = "$"):
+    """Check ``doc`` against ``spec``; returns ``doc``."""
+    rule = spec if isinstance(spec, dict) else {"type": spec}
+    if doc is None and rule.get("null"):
+        return doc
+    kind = rule["type"]
+    name = _TYPE_NAMES.get(kind, kind.__name__)
+    if isinstance(doc, bool) and kind is not bool:
+        _fail(path, f"expected {name}, got bool")
+    if not isinstance(doc, kind):
+        _fail(path, f"expected {name}, got {type(doc).__name__}")
+    if "enum" in rule and doc not in rule["enum"]:
+        _fail(path, f"expected one of {list(rule['enum'])}, got {doc!r}")
+    if "min" in rule and doc < rule["min"]:
+        _fail(path, f"negative value {doc}" if rule["min"] == 0
+              else f"{doc} below minimum {rule['min']}")
+    if "gt" in rule and doc <= rule["gt"]:
+        _fail(path, f"must be > {rule['gt']}, got {doc}")
+    if "max" in rule and doc > rule["max"]:
+        _fail(path, f"{doc} above maximum {rule['max']}")
+    if "lt" in rule and doc >= rule["lt"]:
+        _fail(path, f"must be < {rule['lt']}, got {doc}")
+    if isinstance(doc, dict):
+        _walk_object(doc, rule, path)
+    elif isinstance(doc, list):
+        _walk_list(doc, rule, path)
+    return doc
+
+
+def _walk_object(doc: dict, rule: dict, path: str) -> None:
+    keys = rule.get("keys")
+    if keys is not None:
+        expected = keys() if callable(keys) else keys
+        for key in expected:
+            if key not in doc:
+                _fail(f"{path}.{key}", "missing required field")
+        for key in doc:
+            if key not in expected:
+                _fail(f"{path}.{key}", "unexpected field")
+    for key, sub in rule.get("fields", {}).items():
+        if key not in doc:
+            _fail(f"{path}.{key}", "missing required field")
+        validate(doc[key], sub, f"{path}.{key}")
+    if "values" in rule:
+        for key, value in doc.items():
+            validate(value, rule["values"], f"{path}.{key}")
+    for key, sub in rule.get("fields", {}).items():
+        count = sub.get("len") if isinstance(sub, dict) else None
+        if count is not None and len(doc[key]) != doc[count]:
+            _fail(f"{path}.{key}", f"{len(doc[key])} entries for {count} {doc[count]}")
+    for check in rule.get("checks", ()):
+        check(doc, path)
+
+
+def _walk_list(doc: list, rule: dict, path: str) -> None:
+    if len(doc) < rule.get("min_len", 0):
+        _fail(path, f"{len(doc)} entries, need at least {rule['min_len']}")
+    if "items" in rule:
+        for i, item in enumerate(doc):
+            validate(item, rule["items"], f"{path}[{i}]")
+    unique = rule.get("unique")
+    if unique is not None:
+        seen = set()
+        for i, item in enumerate(doc):
+            if item[unique] in seen:
+                _fail(f"{path}[{i}].{unique}", f"duplicate {unique} {item[unique]!r}")
+            seen.add(item[unique])
+
+
+# --------------------------------------------------------------------- #
+# Named cross-field checks
+# --------------------------------------------------------------------- #
+
+
+def _at_most(small: str, big: str, factor: int = 1):
+    """``factor * obj[small] <= obj[big]``."""
+
+    def check(obj: dict, path: str) -> None:
+        if factor * obj[small] > obj[big]:
+            scaled = small if factor == 1 else f"{factor} x {small}"
+            _fail(f"{path}.{small}",
+                  f"{scaled} ({obj[small]}) exceeds {big} ({obj[big]})")
+
+    return check
+
+
+def _edges_match_counts(hist: dict, path: str) -> None:
+    if len(hist["bin_edges"]) != len(hist["counts"]) + 1:
+        _fail(path, f"{len(hist['bin_edges'])} bin edges for "
+                    f"{len(hist['counts'])} counts")
+
+
+def _budget_when_enabled(memory: dict, path: str) -> None:
+    if memory["enabled"] and memory["budget_bytes"] < 1:
+        _fail(f"{path}.budget_bytes", "memory admission enabled with a zero budget")
+
+
+def _op_mix_sums_to_one(mix: dict, path: str) -> None:
+    total = sum(mix[op] for op in _OPS)
+    if abs(total - 1.0) > 1e-9:
+        _fail(path, f"fractions sum to {total}, want 1.0")
+
+
+def _op_counts_match_lookups(doc: dict, path: str) -> None:
+    total = sum(g["ops"][op]["count"] for g in doc["graphs"] for op in _OPS)
+    if total != doc["lookups"]:
+        _fail(f"{path}.lookups",
+              f"{doc['lookups']} declared but per-op counts sum to {total}")
+
+
+def _slo_verdict(slo: dict, path: str) -> None:
+    if slo["met"] != (slo["worst_membership_p99_us"] <= slo["membership_p99_us"]):
+        _fail(f"{path}.met", f"verdict {slo['met']} inconsistent with worst p99 "
+                             f"{slo['worst_membership_p99_us']} vs budget "
+                             f"{slo['membership_p99_us']}")
+
+
+def _rejected_over_budget(record: dict, path: str) -> None:
+    if record["admission_rejected"] and (
+        record["admission_estimate_bytes"] <= record["admission_budget_bytes"]
     ):
-        _fail(f"{path}.{key}", "expected number, got bool")
-    if not isinstance(value, types):
-        expected = (
-            "/".join(t.__name__ for t in types)
-            if isinstance(types, tuple)
-            else types.__name__
-        )
-        _fail(f"{path}.{key}", f"expected {expected}, got {type(value).__name__}")
-    return value
+        _fail(f"{path}.admission_rejected",
+              "rejected although the estimate fits the budget")
 
 
-def _check_header(doc: dict, path: str, schema: str, version: int) -> None:
-    got_schema = _require(doc, path, "schema", str)
-    if got_schema != schema:
-        _fail(f"{path}.schema", f"expected {schema!r}, got {got_schema!r}")
-    got_version = _require(doc, path, "version", int)
-    if got_version != version:
-        _fail(f"{path}.version", f"unsupported version {got_version} (want {version})")
+def _tolerance_verdicts(doc: dict, path: str) -> None:
+    for i, record in enumerate(doc["records"]):
+        within = record["reconcile_within_tolerance"]
+        if within != (record["reconcile_deviation"] <= doc["tolerance"]):
+            _fail(f"{path}.records[{i}].reconcile_within_tolerance",
+                  f"verdict {within} inconsistent with deviation "
+                  f"{record['reconcile_deviation']} vs tolerance {doc['tolerance']}")
 
 
-def _check_counters(counters: dict, path: str) -> None:
+# --------------------------------------------------------------------- #
+# Specs
+# --------------------------------------------------------------------- #
+
+_COUNT = {"type": int, "min": 0}
+_POSITIVE = {"type": int, "min": 1}
+_SECONDS = {"type": _REAL, "min": 0}
+_FRACTION = {"type": _REAL, "min": 0, "max": 1}
+_MODULARITY = {"type": _REAL, "min": -0.5, "max": 1}
+_OPS = ("membership", "roster", "diff")
+
+
+def _header(schema: str, version: int) -> dict:
+    return {
+        "schema": {"type": str, "enum": (schema,)},
+        "version": {"type": int, "enum": (version,)},
+    }
+
+
+def _obj(fields: dict, *checks) -> dict:
+    return {"type": dict, "fields": fields, "checks": checks}
+
+
+def _counter_keys():
     from repro.gpu.metrics import KernelCounters
 
-    expected = set(KernelCounters().as_dict())
-    if set(counters) != expected:
-        missing = expected - set(counters)
-        extra = set(counters) - expected
-        _fail(path, f"counter keys mismatch (missing {sorted(missing)}, "
-                    f"unexpected {sorted(extra)})")
-    for key, value in counters.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            _fail(f"{path}.{key}", f"expected int, got {type(value).__name__}")
-        if value < 0:
-            _fail(f"{path}.{key}", f"negative counter {value}")
+    return KernelCounters().as_dict()
 
 
-def validate_profile(doc: dict) -> dict:
-    """Validate a serialised :class:`RunProfile`; returns ``doc``."""
-    path = "profile"
-    _check_header(doc, path, PROFILE_SCHEMA, PROFILE_SCHEMA_VERSION)
-    _require(doc, path, "algorithm", str)
-    device = _require(doc, path, "device", dict)
-    _require(device, f"{path}.device", "name", str)
-    sector = _require(device, f"{path}.device", "sector_bytes", int)
-    if sector <= 0:
-        _fail(f"{path}.device.sector_bytes", f"must be positive, got {sector}")
-    _require(doc, path, "converged", bool)
-    total = _require(doc, path, "modeled_seconds", numbers.Real)
-    if total < 0:
-        _fail(f"{path}.modeled_seconds", f"negative time {total}")
-    _require(doc, path, "bytes_moved", int)
-    _check_counters(_require(doc, path, "counters", dict), f"{path}.counters")
-
-    iterations = _require(doc, path, "iterations", list)
-    for i, it in enumerate(iterations):
-        ipath = f"{path}.iterations[{i}]"
-        _require(it, ipath, "iteration", int)
-        _require(it, ipath, "changed", int)
-        _require(it, ipath, "processed", int)
-        _require(it, ipath, "pick_less", bool)
-        _require(it, ipath, "cross_check", bool)
-        _require(it, ipath, "reverted", int)
-        _require(it, ipath, "modeled_seconds", numbers.Real)
-        _check_counters(_require(it, ipath, "counters", dict), f"{ipath}.counters")
-
-    kernels = _require(doc, path, "kernels", list)
-    for i, k in enumerate(kernels):
-        kpath = f"{path}.kernels[{i}]"
-        _require(k, kpath, "kernel", str)
-        _require(k, kpath, "launches", int)
-        _require(k, kpath, "waves", int)
-        _require(k, kpath, "modeled_seconds", numbers.Real)
-        _check_counters(_require(k, kpath, "counters", dict), f"{kpath}.counters")
-
-    histograms = _require(doc, path, "histograms", dict)
-    for name in ("probes_per_edge", "warp_serial_per_edge"):
-        hist = _require(histograms, f"{path}.histograms", name, dict)
-        hpath = f"{path}.histograms.{name}"
-        edges = _require(hist, hpath, "bin_edges", list)
-        counts = _require(hist, hpath, "counts", list)
-        if len(edges) != len(counts) + 1:
-            _fail(hpath, f"{len(edges)} bin edges for {len(counts)} counts")
-
-    rates = _require(doc, path, "rates", dict)
-    for name in ("atomic_conflict_rate", "probes_per_edge", "avg_waves_per_launch"):
-        _require(rates, f"{path}.rates", name, numbers.Real)
-
-    _require(doc, path, "fault_rungs", dict)
-    return doc
-
-
-def validate_service_stats(doc: dict) -> dict:
-    """Validate a ``DetectionService.stats()`` snapshot; returns ``doc``."""
-    path = "service"
-    _check_header(doc, path, SERVICE_SCHEMA, SERVICE_SCHEMA_VERSION)
-    for key in ("clock_s", "wall_seconds"):
-        value = _require(doc, path, key, numbers.Real)
-        if value < 0:
-            _fail(f"{path}.{key}", f"negative time {value}")
-    workers = _require(doc, path, "workers", int)
-    if workers < 1:
-        _fail(f"{path}.workers", f"must be >= 1, got {workers}")
-
-    queue = _require(doc, path, "queue", dict)
-    qpath = f"{path}.queue"
-    for key in ("depth", "capacity", "rejected_queue_full", "rejected_tenant_cap"):
-        value = _require(queue, qpath, key, int)
-        if value < 0:
-            _fail(f"{qpath}.{key}", f"negative count {value}")
-    if queue["depth"] > queue["capacity"]:
-        _fail(f"{qpath}.depth",
-              f"depth {queue['depth']} exceeds capacity {queue['capacity']}")
-    tenants = _require(queue, qpath, "tenants", dict)
-    for tenant, load in tenants.items():
-        if isinstance(load, bool) or not isinstance(load, int) or load < 0:
-            _fail(f"{qpath}.tenants.{tenant}", f"expected count, got {load!r}")
-
-    jobs = _require(doc, path, "jobs", dict)
-    jpath = f"{path}.jobs"
-    for key in (
-        "submitted", "rejected", "recovered", "retries", "reroutes",
-        "pending", "running", "completed", "failed", "degraded",
-    ):
-        value = _require(jobs, jpath, key, int)
-        if value < 0:
-            _fail(f"{jpath}.{key}", f"negative count {value}")
-    if jobs["degraded"] > jobs["completed"]:
-        _fail(f"{jpath}.degraded",
-              f"degraded {jobs['degraded']} exceeds completed "
-              f"{jobs['completed']}")
-
+def _rung_keys():
     from repro.service.job import RUNGS
 
-    rungs = _require(doc, path, "rungs", dict)
-    for rung in RUNGS:
-        value = _require(rungs, f"{path}.rungs", rung, int)
-        if value < 0:
-            _fail(f"{path}.rungs.{rung}", f"negative count {value}")
-
-    breakers = _require(doc, path, "breakers", list)
-    for i, b in enumerate(breakers):
-        bpath = f"{path}.breakers[{i}]"
-        _require(b, bpath, "engine", str)
-        state = _require(b, bpath, "state", str)
-        if state not in ("closed", "open", "half-open"):
-            _fail(f"{bpath}.state", f"unknown breaker state {state!r}")
-        rate = _require(b, bpath, "failure_rate", numbers.Real)
-        if not 0.0 <= rate <= 1.0:
-            _fail(f"{bpath}.failure_rate", f"rate {rate} outside [0, 1]")
-        for key in ("calls_in_window", "opened_count"):
-            value = _require(b, bpath, key, int)
-            if value < 0:
-                _fail(f"{bpath}.{key}", f"negative count {value}")
-
-    latency = _require(doc, path, "latency", dict)
-    lpath = f"{path}.latency"
-    count = _require(latency, lpath, "count", int)
-    if count < 0:
-        _fail(f"{lpath}.count", f"negative count {count}")
-    for key in ("p50_modeled_s", "p95_modeled_s", "p50_wall_s", "p95_wall_s"):
-        value = _require(latency, lpath, key, numbers.Real)
-        if value < 0:
-            _fail(f"{lpath}.{key}", f"negative time {value}")
-    if latency["p95_modeled_s"] < latency["p50_modeled_s"]:
-        _fail(f"{lpath}.p95_modeled_s", "p95 below p50")
-
-    totals = _require(doc, path, "totals", dict)
-    for key in ("modeled_seconds", "wall_spent_s"):
-        value = _require(totals, f"{path}.totals", key, numbers.Real)
-        if value < 0:
-            _fail(f"{path}.totals.{key}", f"negative time {value}")
-
-    batching = _require(doc, path, "batching", dict)
-    bpath = f"{path}.batching"
-    _require(batching, bpath, "enabled", bool)
-    for key in ("batches", "batched_jobs"):
-        value = _require(batching, bpath, key, int)
-        if value < 0:
-            _fail(f"{bpath}.{key}", f"negative count {value}")
-    saved = _require(batching, bpath, "launch_seconds_saved", numbers.Real)
-    if saved < 0:
-        _fail(f"{bpath}.launch_seconds_saved", f"negative time {saved}")
-    if batching["batched_jobs"] < 2 * batching["batches"]:
-        _fail(f"{bpath}.batched_jobs",
-              f"{batching['batched_jobs']} jobs across "
-              f"{batching['batches']} batches (a batch has >= 2 jobs)")
-
-    memory = _require(doc, path, "memory", dict)
-    mpath = f"{path}.memory"
-    _require(memory, mpath, "enabled", bool)
-    for key in (
-        "budget_bytes", "in_flight_bytes", "high_water_bytes",
-        "rejections", "serialized", "degradations",
-    ):
-        value = _require(memory, mpath, key, int)
-        if value < 0:
-            _fail(f"{mpath}.{key}", f"negative count {value}")
-    if memory["in_flight_bytes"] > memory["high_water_bytes"]:
-        _fail(f"{mpath}.in_flight_bytes",
-              f"{memory['in_flight_bytes']} exceeds high-water mark "
-              f"{memory['high_water_bytes']}")
-    if memory["enabled"] and memory["budget_bytes"] < 1:
-        _fail(f"{mpath}.budget_bytes",
-              "memory admission enabled with a zero budget")
-    return doc
+    return RUNGS
 
 
-def validate_stream_soak(doc: dict) -> dict:
-    """Validate a ``BENCH_stream_soak.json`` document; returns ``doc``."""
-    path = "stream_soak"
-    _check_header(doc, path, STREAM_SOAK_SCHEMA, STREAM_SOAK_SCHEMA_VERSION)
-    _require(doc, path, "dataset", str)
-    scale = _require(doc, path, "scale", numbers.Real)
-    if scale <= 0:
-        _fail(f"{path}.scale", f"must be positive, got {scale}")
-    for key in ("num_seeds", "batches_per_seed", "batch_size", "hops"):
-        value = _require(doc, path, key, int)
-        if value < 0 or (key != "hops" and value == 0):
-            _fail(f"{path}.{key}", f"must be positive, got {value}")
+_COUNTERS = {"type": dict, "keys": _counter_keys, "values": _COUNT}
+_DEVICE = _obj({"name": str, "sector_bytes": {"type": int, "gt": 0}})
+_HISTOGRAM = _obj(
+    {
+        "bin_edges": {"type": list, "items": _SECONDS},
+        "counts": {"type": list, "items": _COUNT},
+    },
+    _edges_match_counts,
+)
 
-    rates = _require(doc, path, "rates", dict)
-    rpath = f"{path}.rates"
-    for key in ("deltas_per_second", "epochs_per_second", "speedup_vs_scratch"):
-        value = _require(rates, rpath, key, numbers.Real)
-        if value <= 0:
-            _fail(f"{rpath}.{key}", f"must be positive, got {value}")
-    frontier = _require(rates, rpath, "frontier_fraction_mean", numbers.Real)
-    if not 0.0 <= frontier <= 1.0:
-        _fail(f"{rpath}.frontier_fraction_mean",
-              f"fraction {frontier} outside [0, 1]")
+PROFILE_SPEC = _obj({
+    **_header(PROFILE_SCHEMA, PROFILE_SCHEMA_VERSION),
+    "algorithm": str,
+    "device": _DEVICE,
+    "converged": bool,
+    "modeled_seconds": _SECONDS,
+    "bytes_moved": _COUNT,
+    "counters": _COUNTERS,
+    "iterations": {"type": list, "items": _obj({
+        "iteration": _COUNT,
+        "changed": _COUNT,
+        "processed": _COUNT,
+        "pick_less": bool,
+        "cross_check": bool,
+        "reverted": _COUNT,
+        "modeled_seconds": _SECONDS,
+        "counters": _COUNTERS,
+    })},
+    "kernels": {"type": list, "items": _obj({
+        "kernel": str,
+        "launches": _COUNT,
+        "waves": _COUNT,
+        "modeled_seconds": _SECONDS,
+        "counters": _COUNTERS,
+    })},
+    "histograms": _obj({
+        "probes_per_edge": _HISTOGRAM,
+        "warp_serial_per_edge": _HISTOGRAM,
+    }),
+    "rates": _obj({
+        "atomic_conflict_rate": _SECONDS,
+        "probes_per_edge": _SECONDS,
+        "avg_waves_per_launch": _SECONDS,
+    }),
+    "fault_rungs": dict,
+})
 
-    soak = _require(doc, path, "soak", dict)
-    spath = f"{path}.soak"
-    _require(soak, spath, "ok", bool)
-    for key in ("num_seeds", "total_deaths"):
-        value = _require(soak, spath, key, int)
-        if value < 0:
-            _fail(f"{spath}.{key}", f"negative count {value}")
-    seeds = _require(soak, spath, "seeds", list)
-    if len(seeds) != soak["num_seeds"]:
-        _fail(f"{spath}.seeds",
-              f"{len(seeds)} entries for num_seeds {soak['num_seeds']}")
-    for i, s in enumerate(seeds):
-        epath = f"{spath}.seeds[{i}]"
-        for key in (
-            "seed", "batches", "epochs", "producer_deaths", "torn_tails",
-            "service_deaths", "restarts",
-        ):
-            _require(s, epath, key, int)
-        for key in ("labels_identical", "graph_identical", "ok"):
-            _require(s, epath, key, bool)
-        gap = _require(s, epath, "modularity_gap", numbers.Real)
-        if gap < 0:
-            _fail(f"{epath}.modularity_gap", f"negative gap {gap}")
-    return doc
+BENCH_SPEC = _obj({
+    **_header(BENCH_SCHEMA, BENCH_SCHEMA_VERSION),
+    "scale": {"type": _REAL, "gt": 0},
+    "seed": _COUNT,
+    "engine": str,
+    "calibration_seconds": {"type": _REAL, "gt": 0},
+    "device": _DEVICE,
+    "graphs": {"type": list, "min_len": 1, "unique": "name", "items": _obj({
+        "name": str,
+        "num_vertices": _COUNT,
+        "num_edges": _COUNT,
+        "iterations": _COUNT,
+        "num_communities": _COUNT,
+        "converged": bool,
+        "modeled_seconds": _SECONDS,
+        "paper_modeled_seconds": {**_SECONDS, "null": True},
+        "modularity": _MODULARITY,
+        "wall_seconds": _SECONDS,
+        "wall_seconds_hashtable": _SECONDS,
+        "counters": _COUNTERS,
+    })},
+})
 
+SERVICE_SPEC = _obj({
+    **_header(SERVICE_SCHEMA, SERVICE_SCHEMA_VERSION),
+    "clock_s": _SECONDS,
+    "wall_seconds": _SECONDS,
+    "workers": _POSITIVE,
+    "queue": _obj(
+        {
+            "depth": _COUNT,
+            "capacity": _COUNT,
+            "rejected_queue_full": _COUNT,
+            "rejected_tenant_cap": _COUNT,
+            "tenants": {"type": dict, "values": _COUNT},
+        },
+        _at_most("depth", "capacity"),
+    ),
+    "jobs": _obj(
+        dict.fromkeys((
+            "submitted", "rejected", "recovered", "retries", "reroutes",
+            "pending", "running", "completed", "failed", "degraded",
+        ), _COUNT),
+        _at_most("degraded", "completed"),
+    ),
+    "rungs": {"type": dict, "keys": _rung_keys, "values": _COUNT},
+    "breakers": {"type": list, "items": _obj({
+        "engine": str,
+        "state": {"type": str, "enum": ("closed", "open", "half-open")},
+        "failure_rate": _FRACTION,
+        "calls_in_window": _COUNT,
+        "opened_count": _COUNT,
+    })},
+    "latency": _obj(
+        {
+            "count": _COUNT,
+            "p50_modeled_s": _SECONDS,
+            "p95_modeled_s": _SECONDS,
+            "p50_wall_s": _SECONDS,
+            "p95_wall_s": _SECONDS,
+        },
+        _at_most("p50_modeled_s", "p95_modeled_s"),
+    ),
+    "totals": _obj({"modeled_seconds": _SECONDS, "wall_spent_s": _SECONDS}),
+    "batching": _obj(
+        {
+            "enabled": bool,
+            "batches": _COUNT,
+            "batched_jobs": _COUNT,
+            "launch_seconds_saved": _SECONDS,
+        },
+        # A batch coalesces at least two jobs.
+        _at_most("batches", "batched_jobs", factor=2),
+    ),
+    "memory": _obj(
+        {
+            "enabled": bool,
+            **dict.fromkeys((
+                "budget_bytes", "in_flight_bytes", "high_water_bytes",
+                "rejections", "serialized", "degradations",
+            ), _COUNT),
+        },
+        _at_most("in_flight_bytes", "high_water_bytes"),
+        _budget_when_enabled,
+    ),
+})
 
-def validate_integrity_soak(doc: dict) -> dict:
-    """Validate a ``BENCH_integrity_soak.json`` document; returns ``doc``."""
-    path = "integrity_soak"
-    _check_header(doc, path, INTEGRITY_SOAK_SCHEMA, INTEGRITY_SOAK_SCHEMA_VERSION)
-    _require(doc, path, "engine", str)
-    for key in ("num_vertices", "num_edges"):
-        value = _require(doc, path, key, int)
-        if value < 0:
-            _fail(f"{path}.{key}", f"negative count {value}")
-    _require(doc, path, "ok", bool)
-    silent = _require(doc, path, "silent", int)
-    if silent < 0:
-        _fail(f"{path}.silent", f"negative count {silent}")
-    _require(doc, path, "summary", str)
-    records = _require(doc, path, "records", list)
-    for i, r in enumerate(records):
-        rpath = f"{path}.records[{i}]"
-        _require(r, rpath, "seed", int)
-        _require(r, rpath, "ok", bool)
-        if _require(r, rpath, "silent", int) < 0:
-            _fail(f"{rpath}.silent", "negative count")
-        live = _require(r, rpath, "live", dict)
-        if _require(live, f"{rpath}.live", "detections", int) < 0:
-            _fail(f"{rpath}.live.detections", "negative count")
-        _require(live, f"{rpath}.live", "identical", bool)
-        for leg in ("checkpoint", "snapshot"):
-            sub = _require(r, rpath, leg, dict)
-            _require(sub, f"{rpath}.{leg}", "flip", str)
-            _require(sub, f"{rpath}.{leg}", "detected", bool)
-            _require(sub, f"{rpath}.{leg}", "identical", bool)
-        _require(r, rpath, "guard", dict)
-    return doc
+_LATENCY = _obj(
+    {"count": _COUNT, "p50_us": _SECONDS, "p99_us": _SECONDS, "mean_us": _SECONDS},
+    _at_most("p50_us", "p99_us"),
+)
 
-
-def validate_memory_soak(doc: dict) -> dict:
-    """Validate a ``BENCH_memory_soak.json`` document; returns ``doc``."""
-    path = "memory_soak"
-    _check_header(doc, path, MEMORY_SOAK_SCHEMA, MEMORY_SOAK_SCHEMA_VERSION)
-    _require(doc, path, "engine", str)
-    for key in ("num_vertices", "num_edges", "num_seeds"):
-        value = _require(doc, path, key, int)
-        if value < 0:
-            _fail(f"{path}.{key}", f"negative count {value}")
-    _require(doc, path, "ok", bool)
-    silent = _require(doc, path, "silent", int)
-    if silent < 0:
-        _fail(f"{path}.silent", f"negative count {silent}")
-    tolerance = _require(doc, path, "tolerance", numbers.Real)
-    if not 0.0 < tolerance < 1.0:
-        _fail(f"{path}.tolerance", f"tolerance {tolerance} outside (0, 1)")
-    _require(doc, path, "summary", str)
-    records = _require(doc, path, "records", list)
-    if len(records) != doc["num_seeds"]:
-        _fail(f"{path}.records",
-              f"{len(records)} entries for num_seeds {doc['num_seeds']}")
-    for i, r in enumerate(records):
-        rpath = f"{path}.records[{i}]"
-        _require(r, rpath, "seed", int)
-        _require(r, rpath, "ok", bool)
-        if _require(r, rpath, "silent", int) < 0:
-            _fail(f"{rpath}.silent", "negative count")
-        live = _require(r, rpath, "live", dict)
-        if _require(live, f"{rpath}.live", "ooms", int) < 0:
-            _fail(f"{rpath}.live.ooms", "negative count")
-        for key in ("absorbed", "valid", "identical"):
-            _require(live, f"{rpath}.live", key, bool)
-        admission = _require(r, rpath, "admission", dict)
-        apath = f"{rpath}.admission"
-        _require(admission, apath, "rejected", bool)
-        for key in ("estimate_bytes", "budget_bytes"):
-            if _require(admission, apath, key, int) < 0:
-                _fail(f"{apath}.{key}", "negative byte count")
-        if admission["rejected"] and (
-            admission["estimate_bytes"] <= admission["budget_bytes"]
-        ):
-            _fail(f"{apath}.rejected",
-                  "rejected although the estimate fits the budget")
-        shrink = _require(r, rpath, "shrink", dict)
-        if _require(shrink, f"{rpath}.shrink", "ooms", int) < 0:
-            _fail(f"{rpath}.shrink.ooms", "negative count")
-        for key in ("absorbed", "valid"):
-            _require(shrink, f"{rpath}.shrink", key, bool)
-        rec = _require(r, rpath, "reconcile", dict)
-        cpath = f"{rpath}.reconcile"
-        for key in ("estimate_bytes", "high_water_bytes"):
-            if _require(rec, cpath, key, int) < 0:
-                _fail(f"{cpath}.{key}", "negative byte count")
-        _require(rec, cpath, "identical", bool)
-        deviation = _require(rec, cpath, "deviation", numbers.Real)
-        if deviation < 0:
-            _fail(f"{cpath}.deviation", f"negative deviation {deviation}")
-        utilization = _require(rec, cpath, "utilization", numbers.Real)
-        if utilization < 0:
-            _fail(f"{cpath}.utilization",
-                  f"negative utilization {utilization}")
-        within = _require(rec, cpath, "within_tolerance", bool)
-        if within != (deviation <= tolerance):
-            _fail(f"{cpath}.within_tolerance",
-                  f"verdict {within} inconsistent with deviation "
-                  f"{deviation} vs tolerance {tolerance}")
-    return doc
-
-
-def validate_query_bench(doc: dict) -> dict:
-    """Validate a ``BENCH_query.json`` document; returns ``doc``."""
-    path = "query_bench"
-    _check_header(doc, path, QUERY_BENCH_SCHEMA, QUERY_BENCH_SCHEMA_VERSION)
-    _require(doc, path, "seed", int)
-    lookups = _require(doc, path, "lookups", int)
-    if lookups <= 0:
-        _fail(f"{path}.lookups", f"must be positive, got {lookups}")
-    readers = _require(doc, path, "readers", int)
-    if readers < 1:
-        _fail(f"{path}.readers", f"must be >= 1, got {readers}")
-    zipf_s = _require(doc, path, "zipf_s", numbers.Real)
-    if zipf_s <= 1.0:
-        _fail(f"{path}.zipf_s", f"zipf exponent must be > 1, got {zipf_s}")
-
-    mix = _require(doc, path, "op_mix", dict)
-    total_mix = 0.0
-    for op in ("membership", "roster", "diff"):
-        frac = _require(mix, f"{path}.op_mix", op, numbers.Real)
-        if not 0.0 <= frac <= 1.0:
-            _fail(f"{path}.op_mix.{op}", f"fraction {frac} outside [0, 1]")
-        total_mix += frac
-    if abs(total_mix - 1.0) > 1e-9:
-        _fail(f"{path}.op_mix", f"fractions sum to {total_mix}, want 1.0")
-
-    graphs = _require(doc, path, "graphs", list)
-    if len(graphs) < 2:
-        _fail(f"{path}.graphs", "need at least two graph sizes (O(1) check)")
-    seen = set()
-    op_count_total = 0
-    for i, g in enumerate(graphs):
-        gpath = f"{path}.graphs[{i}]"
-        name = _require(g, gpath, "name", str)
-        if name in seen:
-            _fail(f"{gpath}.name", f"duplicate graph {name!r}")
-        seen.add(name)
-        for key in ("num_vertices", "num_communities", "snapshot_bytes",
-                    "versions"):
-            value = _require(g, gpath, key, int)
-            if value < 0:
-                _fail(f"{gpath}.{key}", f"negative value {value}")
-        ops = _require(g, gpath, "ops", dict)
-        for op in ("membership", "roster", "diff"):
-            o = _require(ops, f"{gpath}.ops", op, dict)
-            opath = f"{gpath}.ops.{op}"
-            count = _require(o, opath, "count", int)
-            if count < 0:
-                _fail(f"{opath}.count", f"negative count {count}")
-            op_count_total += count
-            for key in ("p50_us", "p99_us", "mean_us"):
-                value = _require(o, opath, key, numbers.Real)
-                if value < 0:
-                    _fail(f"{opath}.{key}", f"negative latency {value}")
-            if o["p99_us"] < o["p50_us"]:
-                _fail(f"{opath}.p99_us", "p99 below p50")
-    if op_count_total != lookups:
-        _fail(f"{path}.lookups",
-              f"{lookups} declared but per-op counts sum to {op_count_total}")
-
-    slo = _require(doc, path, "slo", dict)
-    spath = f"{path}.slo"
-    budget = _require(slo, spath, "membership_p99_us", numbers.Real)
-    if budget <= 0:
-        _fail(f"{spath}.membership_p99_us", f"must be positive, got {budget}")
-    worst = _require(slo, spath, "worst_membership_p99_us", numbers.Real)
-    if worst < 0:
-        _fail(f"{spath}.worst_membership_p99_us", f"negative latency {worst}")
-    met = _require(slo, spath, "met", bool)
-    if met != (worst <= budget):
-        _fail(f"{spath}.met",
-              f"verdict {met} inconsistent with worst p99 {worst} vs "
-              f"budget {budget}")
-
-    flat = _require(doc, path, "flatness", dict)
-    fpath = f"{path}.flatness"
-    _require(flat, fpath, "small_graph", str)
-    _require(flat, fpath, "large_graph", str)
-    ratio = _require(flat, fpath, "vertex_ratio", numbers.Real)
-    if ratio < 10.0:
-        _fail(f"{fpath}.vertex_ratio",
-              f"graph sizes must be >= 10x apart, got {ratio}")
-    p50_ratio = _require(flat, fpath, "membership_p50_ratio", numbers.Real)
-    if p50_ratio <= 0:
-        _fail(f"{fpath}.membership_p50_ratio",
-              f"must be positive, got {p50_ratio}")
-    bound = _require(flat, fpath, "bound", numbers.Real)
-    if bound <= 1.0:
-        _fail(f"{fpath}.bound", f"must exceed 1.0, got {bound}")
-    _require(flat, fpath, "met", bool)
-    return doc
+QUERY_BENCH_SPEC = _obj(
+    {
+        **_header(QUERY_BENCH_SCHEMA, QUERY_BENCH_SCHEMA_VERSION),
+        "seed": _COUNT,
+        "lookups": _POSITIVE,
+        "readers": _POSITIVE,
+        "zipf_s": {"type": _REAL, "gt": 1},
+        "op_mix": _obj(dict.fromkeys(_OPS, _FRACTION), _op_mix_sums_to_one),
+        # Two sizes at least: the O(1) flatness check compares them.
+        "graphs": {"type": list, "min_len": 2, "unique": "name", "items": _obj({
+            "name": str,
+            "num_vertices": _COUNT,
+            "num_communities": _COUNT,
+            "snapshot_bytes": _COUNT,
+            "versions": _COUNT,
+            "ops": _obj(dict.fromkeys(_OPS, _LATENCY)),
+        })},
+        "slo": _obj(
+            {
+                "membership_p99_us": {"type": _REAL, "gt": 0},
+                "worst_membership_p99_us": _SECONDS,
+                "met": bool,
+            },
+            _slo_verdict,
+        ),
+        "flatness": _obj({
+            "small_graph": str,
+            "large_graph": str,
+            "vertex_ratio": {"type": _REAL, "min": 10},
+            "membership_p50_ratio": {"type": _REAL, "gt": 0},
+            "bound": {"type": _REAL, "gt": 1},
+            "met": bool,
+        }),
+    },
+    _op_counts_match_lookups,
+)
 
 
-def validate_bench(doc: dict) -> dict:
-    """Validate a ``BENCH_lpa.json`` document; returns ``doc``."""
-    path = "bench"
-    _check_header(doc, path, BENCH_SCHEMA, BENCH_SCHEMA_VERSION)
-    scale = _require(doc, path, "scale", numbers.Real)
-    if scale <= 0:
-        _fail(f"{path}.scale", f"must be positive, got {scale}")
-    _require(doc, path, "seed", int)
-    _require(doc, path, "engine", str)
-    calibration = _require(doc, path, "calibration_seconds", numbers.Real)
-    if calibration <= 0:
-        _fail(f"{path}.calibration_seconds", f"must be positive, got {calibration}")
-    device = _require(doc, path, "device", dict)
-    _require(device, f"{path}.device", "name", str)
-    _require(device, f"{path}.device", "sector_bytes", int)
+def _soak(kind: str, metadata: dict, record: dict, *checks) -> dict:
+    """The shared :class:`~repro.soak.SoakReport` envelope around one
+    kind's top-level fields and record fields."""
+    return _obj(
+        {
+            **_header(f"repro.observe/{kind}-soak", SOAK_SCHEMA_VERSIONS[kind]),
+            **metadata,
+            "num_seeds": _COUNT,
+            "ok": bool,
+            "silent": _COUNT,
+            "summary": str,
+            "records": {
+                "type": list,
+                "len": "num_seeds",
+                "items": {**record, "fields": {
+                    **record["fields"], "ok": bool, "silent": _COUNT,
+                }},
+            },
+        },
+        *checks,
+    )
 
-    graphs = _require(doc, path, "graphs", list)
-    if not graphs:
-        _fail(f"{path}.graphs", "empty graph list")
-    seen = set()
-    for i, g in enumerate(graphs):
-        gpath = f"{path}.graphs[{i}]"
-        name = _require(g, gpath, "name", str)
-        if name in seen:
-            _fail(f"{gpath}.name", f"duplicate graph {name!r}")
-        seen.add(name)
-        for key in ("num_vertices", "num_edges", "iterations", "num_communities"):
-            value = _require(g, gpath, key, int)
-            if value < 0:
-                _fail(f"{gpath}.{key}", f"negative value {value}")
-        _require(g, gpath, "converged", bool)
-        for key in (
-            "modeled_seconds", "paper_modeled_seconds", "modularity",
-            "wall_seconds", "wall_seconds_hashtable",
-        ):
-            _require(g, gpath, key, numbers.Real, allow_none=(key == "paper_modeled_seconds"))
-        for key in ("modeled_seconds", "wall_seconds", "wall_seconds_hashtable"):
-            if g[key] < 0:
-                _fail(f"{gpath}.{key}", f"negative time {g[key]}")
-        _check_counters(_require(g, gpath, "counters", dict), f"{gpath}.counters")
-    return doc
+
+_GRAPH_RUN = {"engine": str, "num_vertices": _COUNT, "num_edges": _COUNT}
+
+SOAK_SPECS = {
+    "chaos": _soak("chaos", _GRAPH_RUN, _obj({
+        "schedule": _obj({
+            "seed": _COUNT,
+            "fault_kinds": {"type": list, "min_len": 1, "items": str},
+            "fault_rate": _FRACTION,
+            "fault_seed": _COUNT,
+            "max_fires": {**_COUNT, "null": True},
+            "crash": _obj({
+                "iteration": _POSITIVE,
+                "mode": {"type": str,
+                         "enum": ("before-write", "mid-write", "after-write")},
+            }),
+            "corrupt_newest": bool,
+        }),
+        "crash_fired": bool,
+        "corruption": {"type": str, "enum": ("", "truncated", "bit-flipped")},
+        "resumed_from": {**_COUNT, "null": True},
+        "identical": bool,
+        "reference_iterations": _COUNT,
+        "final_iterations": _COUNT,
+        "fault_events": _COUNT,
+    })),
+    "service": _soak(
+        "service",
+        {"jobs_per_schedule": _POSITIVE, "stats": SERVICE_SPEC},
+        _obj(
+            {
+                "seed": _COUNT,
+                "jobs": _COUNT,
+                "crashes": _COUNT,
+                "restarts": _COUNT,
+                "identical": _COUNT,
+                "lost": {"type": list, "items": str},
+                "duplicated": {"type": list, "items": str},
+                "mismatched": {"type": list, "items": str},
+            },
+            _at_most("identical", "jobs"),
+        ),
+    ),
+    "stream": _soak(
+        "stream",
+        {
+            "dataset": str,
+            "scale": {"type": _REAL, "gt": 0},
+            "batches_per_seed": _POSITIVE,
+            "batch_size": _POSITIVE,
+            "hops": _COUNT,
+            "rates": _obj({
+                "deltas_per_second": {"type": _REAL, "gt": 0},
+                "epochs_per_second": {"type": _REAL, "gt": 0},
+                "speedup_vs_scratch": {"type": _REAL, "gt": 0},
+                "frontier_fraction_mean": _FRACTION,
+            }),
+        },
+        _obj({
+            "seed": _COUNT,
+            "batches": _COUNT,
+            # -1 when the subscription never completed.
+            "epochs": {"type": int, "min": -1},
+            "producer_deaths": _COUNT,
+            "torn_tails": _COUNT,
+            "service_deaths": _COUNT,
+            "restarts": _COUNT,
+            "labels_identical": bool,
+            "graph_identical": bool,
+            "modularity_gap": _SECONDS,
+        }),
+    ),
+    "integrity": _soak("integrity", _GRAPH_RUN, _obj({
+        "seed": _COUNT,
+        "live_detections": _COUNT,
+        "live_identical": bool,
+        "ckpt_flip": str,
+        "ckpt_detected": bool,
+        "ckpt_identical": bool,
+        "snap_flip": str,
+        "snap_detected": bool,
+        "snap_identical": bool,
+        "guard": dict,
+    })),
+    "memory": _soak(
+        "memory",
+        {**_GRAPH_RUN, "tolerance": {"type": _REAL, "gt": 0, "lt": 1}},
+        _obj(
+            {
+                "seed": _COUNT,
+                "live_ooms": _COUNT,
+                "live_absorbed": bool,
+                "live_valid": bool,
+                "live_identical": bool,
+                "admission_rejected": bool,
+                "admission_estimate_bytes": _COUNT,
+                "admission_budget_bytes": _COUNT,
+                "shrink_ooms": _COUNT,
+                "shrink_absorbed": bool,
+                "shrink_valid": bool,
+                "reconcile_estimate_bytes": _COUNT,
+                "reconcile_high_water_bytes": _COUNT,
+                "reconcile_deviation": _SECONDS,
+                "reconcile_utilization": _SECONDS,
+                "reconcile_within_tolerance": bool,
+                "reconcile_identical": bool,
+                "memory": dict,
+            },
+            _rejected_over_budget,
+        ),
+        _tolerance_verdicts,
+    ),
+}
+
+validate_profile = partial(validate, spec=PROFILE_SPEC, path="profile")
+validate_bench = partial(validate, spec=BENCH_SPEC, path="bench")
+validate_service_stats = partial(validate, spec=SERVICE_SPEC, path="service")
+validate_query_bench = partial(validate, spec=QUERY_BENCH_SPEC, path="query_bench")
+validate_stream_soak = partial(validate, spec=SOAK_SPECS["stream"], path="stream_soak")
+validate_integrity_soak = partial(
+    validate, spec=SOAK_SPECS["integrity"], path="integrity_soak"
+)
+validate_memory_soak = partial(validate, spec=SOAK_SPECS["memory"], path="memory_soak")

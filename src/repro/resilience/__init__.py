@@ -59,10 +59,8 @@ __all__ = [
     "validate_graph",
     "ChaosSchedule",
     "SoakRecord",
-    "SoakReport",
     "run_chaos_soak",
     "MemorySoakRecord",
-    "MemorySoakReport",
     "run_memory_soak",
     "check_finite_values",
     "check_label_range",
@@ -80,12 +78,10 @@ _LAZY = {
     # stay lazy for the same reason the supervisor does.
     "ChaosSchedule": "repro.resilience.chaos",
     "SoakRecord": "repro.resilience.chaos",
-    "SoakReport": "repro.resilience.chaos",
     "run_chaos_soak": "repro.resilience.chaos",
     # memory_soak runs full nu_lpa sessions and the service, so it stays
     # lazy like chaos.
     "MemorySoakRecord": "repro.resilience.memory_soak",
-    "MemorySoakReport": "repro.resilience.memory_soak",
     "run_memory_soak": "repro.resilience.memory_soak",
 }
 

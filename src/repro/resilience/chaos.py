@@ -24,17 +24,17 @@ then runs each schedule three ways:
 
 The differential assertion is that (3) ends bit-identical to (1) — the
 resumed run may limp through retries and fallbacks, but it must not
-drift.  ``benchmarks/bench_chaos_soak.py`` runs 25 schedules and writes
-the machine-readable :class:`SoakReport` as a CI artifact.
+drift.  ``benchmarks/bench_soak.py`` runs 25 schedules and writes the
+:class:`~repro.soak.SoakReport` as a CI artifact.
 
-:class:`InjectedCrash` deliberately derives from plain :class:`Exception`
-rather than ``ReproError``: nothing in the library may catch it, exactly
-like a SIGKILL.
+:class:`~repro.soak.InjectedCrash` deliberately derives from plain
+:class:`Exception` rather than ``ReproError``: nothing in the library may
+catch it, exactly like a SIGKILL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ from repro.core.lpa import nu_lpa
 from repro.graph.csr import CSRGraph
 from repro.resilience.checkpoint import CheckpointManager, CheckpointState
 from repro.resilience.faults import FAULT_KINDS, FaultSpec
+from repro.soak import InjectedCrash, SoakReport
 
 __all__ = [
     "CRASH_MODES",
@@ -52,7 +53,6 @@ __all__ = [
     "CrashingCheckpointManager",
     "ChaosSchedule",
     "SoakRecord",
-    "SoakReport",
     "corrupt_checkpoint",
     "make_schedule",
     "run_chaos_soak",
@@ -61,13 +61,8 @@ __all__ = [
 #: Where a crash may land relative to the checkpoint write at its boundary.
 CRASH_MODES = ("before-write", "mid-write", "after-write")
 
-
-class InjectedCrash(Exception):
-    """A simulated hard process death (kill -9 / power loss).
-
-    Not a ``ReproError`` on purpose: no recovery path in the library is
-    allowed to observe it, just as none would observe a real SIGKILL.
-    """
+#: Latest checkpoint boundary a schedule may crash at.
+_MAX_CRASH_ITERATION = 4
 
 
 @dataclass(frozen=True)
@@ -182,31 +177,13 @@ class ChaosSchedule:
             max_fires=self.max_fires,
         )
 
-    def as_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "seed": self.seed,
-            "fault_kinds": list(self.fault_kinds),
-            "fault_rate": self.fault_rate,
-            "fault_seed": self.fault_seed,
-            "max_fires": self.max_fires,
-            "crash_iteration": self.crash.iteration,
-            "crash_mode": self.crash.mode,
-            "corrupt_newest": self.corrupt_newest,
-        }
 
-
-def make_schedule(
-    seed: int,
-    *,
-    kinds: tuple[str, ...] = FAULT_KINDS,
-    max_crash_iteration: int = 4,
-) -> ChaosSchedule:
+def make_schedule(seed: int) -> ChaosSchedule:
     """Derive one schedule deterministically from ``seed``."""
     rng = np.random.default_rng(seed)
-    n_kinds = int(rng.integers(1, len(kinds) + 1))
+    n_kinds = int(rng.integers(1, len(FAULT_KINDS) + 1))
     picked = tuple(
-        sorted(rng.choice(list(kinds), size=n_kinds, replace=False).tolist())
+        sorted(rng.choice(list(FAULT_KINDS), size=n_kinds, replace=False).tolist())
     )
     return ChaosSchedule(
         seed=seed,
@@ -215,7 +192,7 @@ def make_schedule(
         fault_seed=int(rng.integers(0, 2**31)),
         max_fires=None if rng.random() < 0.5 else int(rng.integers(1, 6)),
         crash=CrashPoint(
-            iteration=int(rng.integers(1, max_crash_iteration + 1)),
+            iteration=int(rng.integers(1, _MAX_CRASH_ITERATION + 1)),
             mode=CRASH_MODES[int(rng.integers(len(CRASH_MODES)))],
         ),
         corrupt_newest=bool(rng.random() < 0.3),
@@ -248,58 +225,19 @@ class SoakRecord:
     final_iterations: int = 0
     fault_events: int = 0
 
-    def as_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "schedule": self.schedule.as_dict(),
-            "crash_fired": self.crash_fired,
-            "corruption": self.corruption,
-            "resumed_from": self.resumed_from,
-            "identical": self.identical,
-            "reference_iterations": self.reference_iterations,
-            "final_iterations": self.final_iterations,
-            "fault_events": self.fault_events,
-        }
-
-
-@dataclass
-class SoakReport:
-    """All schedules of one soak run."""
-
-    engine: str
-    num_vertices: int
-    num_edges: int
-    records: list[SoakRecord] = field(default_factory=list)
-
     @property
     def ok(self) -> bool:
-        """True when every schedule resumed bit-identically."""
-        return all(r.identical for r in self.records)
+        return self.identical
 
     @property
-    def failures(self) -> list[SoakRecord]:
-        """Schedules whose resume drifted from the reference."""
-        return [r for r in self.records if not r.identical]
+    def silent(self) -> int:
+        """A drifted resume is a wrong answer nothing flagged."""
+        return int(not self.identical)
 
-    def summary(self) -> str:
-        """One-line digest."""
-        fired = sum(r.crash_fired for r in self.records)
-        corrupted = sum(bool(r.corruption) for r in self.records)
-        return (
-            f"{len(self.records)} schedule(s): {fired} crash(es) fired, "
-            f"{corrupted} checkpoint(s) corrupted, "
-            f"{len(self.failures)} divergence(s)"
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (the CI artifact body)."""
+    def counts(self) -> dict[str, int]:
         return {
-            "engine": self.engine,
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "ok": self.ok,
-            "summary": self.summary(),
-            "records": [r.as_dict() for r in self.records],
+            "crash(es) fired": self.crash_fired,
+            "checkpoint(s) corrupted": bool(self.corruption),
         }
 
 
@@ -370,8 +308,6 @@ def run_chaos_soak(
     seed: int = 0,
     engine: str = "hashtable",
     config: LPAConfig | None = None,
-    kinds: tuple[str, ...] = FAULT_KINDS,
-    max_crash_iteration: int = 4,
 ) -> SoakReport:
     """Run ``schedules`` randomized crash/fault sessions against ``graph``.
 
@@ -383,14 +319,15 @@ def run_chaos_soak(
     config = config or LPAConfig()
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    report = SoakReport(
-        engine=engine,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
+    return SoakReport(
+        kind="chaos",
+        metadata={
+            "engine": engine,
+            "num_vertices": graph.num_vertices,
+            "num_edges": graph.num_edges,
+        },
+        records=[
+            _run_one(graph, config, engine, make_schedule(seed + i), workdir)
+            for i in range(schedules)
+        ],
     )
-    for i in range(schedules):
-        schedule = make_schedule(
-            seed + i, kinds=kinds, max_crash_iteration=max_crash_iteration
-        )
-        report.records.append(_run_one(graph, config, engine, schedule, workdir))
-    return report

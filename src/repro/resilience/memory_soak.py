@@ -30,8 +30,8 @@ conservative, so actual usage below the total is safe headroom, while
 usage **above** it would mean admission control under-prices jobs —
 the dangerous direction, and the one the tolerance bounds.
 
-``benchmarks/bench_memory_soak.py`` runs ≥ 20 schedules and writes the
-report as the ``BENCH_memory_soak.json`` CI artifact.
+``benchmarks/bench_soak.py`` runs 20 schedules and writes the report as
+the ``BENCH_memory_soak.json`` CI artifact.
 """
 
 from __future__ import annotations
@@ -42,16 +42,13 @@ import numpy as np
 
 from repro.core.config import LPAConfig, ResilienceConfig
 from repro.core.lpa import nu_lpa
-from repro.errors import DeviceOomError, MemoryPressure, ReproError
+from repro.errors import DeviceOomError, MemoryPressure
 from repro.gpu.governor import ESTIMATE_TOLERANCE, footprint_for
 from repro.graph.csr import CSRGraph
 from repro.resilience.faults import FaultSpec
+from repro.soak import SoakReport
 
-__all__ = [
-    "MemorySoakRecord",
-    "MemorySoakReport",
-    "run_memory_soak",
-]
+__all__ = ["MemorySoakRecord", "run_memory_soak"]
 
 
 def _valid_labels(labels, graph: CSRGraph) -> bool:
@@ -96,15 +93,13 @@ class MemorySoakRecord:
     #: Raw high-water / estimate ratio, for observability (how much of
     #: the conservative estimate a real run actually used).
     reconcile_utilization: float
+    #: ``deviation`` within :data:`~repro.gpu.governor.ESTIMATE_TOLERANCE`.
+    reconcile_within_tolerance: bool
     #: A governed run that never left the "full" rung must be
     #: bit-identical to the unconstrained reference.
     reconcile_identical: bool = True
     #: Governor stats of the live run (ledger counters, rungs).
     memory: dict = field(default_factory=dict)
-
-    @property
-    def reconcile_within_tolerance(self) -> bool:
-        return self.reconcile_deviation <= ESTIMATE_TOLERANCE
 
     @property
     def silent(self) -> int:
@@ -129,83 +124,10 @@ class MemorySoakRecord:
             and self.reconcile_identical
         )
 
-    def as_dict(self) -> dict:
-        """JSON-ready representation."""
+    def counts(self) -> dict[str, int]:
         return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "silent": self.silent,
-            "live": {
-                "ooms": self.live_ooms,
-                "absorbed": self.live_absorbed,
-                "valid": self.live_valid,
-                "identical": self.live_identical,
-            },
-            "admission": {
-                "rejected": self.admission_rejected,
-                "estimate_bytes": self.admission_estimate_bytes,
-                "budget_bytes": self.admission_budget_bytes,
-            },
-            "shrink": {
-                "ooms": self.shrink_ooms,
-                "absorbed": self.shrink_absorbed,
-                "valid": self.shrink_valid,
-            },
-            "reconcile": {
-                "estimate_bytes": self.reconcile_estimate_bytes,
-                "high_water_bytes": self.reconcile_high_water_bytes,
-                "deviation": self.reconcile_deviation,
-                "utilization": self.reconcile_utilization,
-                "within_tolerance": self.reconcile_within_tolerance,
-                "identical": self.reconcile_identical,
-            },
-            "memory": dict(self.memory),
-        }
-
-
-@dataclass
-class MemorySoakReport:
-    """All schedules of one memory-pressure soak."""
-
-    engine: str
-    num_vertices: int
-    num_edges: int
-    records: list[MemorySoakRecord] = field(default_factory=list)
-
-    @property
-    def silent(self) -> int:
-        """Total silent wrong answers across every schedule (must be 0)."""
-        return sum(r.silent for r in self.records)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records) and self.silent == 0
-
-    def summary(self) -> str:
-        """One-line digest."""
-        ooms = sum(r.live_ooms + r.shrink_ooms for r in self.records)
-        rejected = sum(r.admission_rejected for r in self.records)
-        wrong = sum(not r.ok for r in self.records)
-        return (
-            f"{len(self.records)} schedule(s): {ooms} OOM(s) absorbed, "
-            f"{rejected} typed rejection(s), {self.silent} silent, "
-            f"{wrong} wrong"
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (the CI artifact body)."""
-        return {
-            "schema": "repro.observe/memory-soak",
-            "version": 1,
-            "engine": self.engine,
-            "num_vertices": self.num_vertices,
-            "num_edges": self.num_edges,
-            "num_seeds": len(self.records),
-            "ok": self.ok,
-            "silent": self.silent,
-            "tolerance": ESTIMATE_TOLERANCE,
-            "summary": self.summary(),
-            "records": [r.as_dict() for r in self.records],
+            "OOM(s) absorbed": self.live_ooms + self.shrink_ooms,
+            "typed rejection(s)": self.admission_rejected,
         }
 
 
@@ -348,29 +270,30 @@ def run_memory_soak(
     seed: int = 0,
     engine: str = "hashtable",
     config: LPAConfig | None = None,
-) -> MemorySoakReport:
+) -> SoakReport:
     """Run ``seeds`` memory-pressure schedules against ``graph``.
 
     Schedule *i* derives every random choice from
     ``default_rng([seed, i])``, so any failure replays in isolation.
     """
     config = config or LPAConfig()
-    report = MemorySoakReport(
-        engine=engine,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
+    report = SoakReport(
+        kind="memory",
+        metadata={
+            "engine": engine,
+            "num_vertices": graph.num_vertices,
+            "num_edges": graph.num_edges,
+            "tolerance": ESTIMATE_TOLERANCE,
+        },
     )
     estimate = footprint_for(
         graph, config, engine=engine, integrity=False, checkpointing=False,
     )
     footprint = int(estimate["total"])
     # The pressure-free reference the live leg compares against.
-    try:
-        reference = nu_lpa(
-            graph, config, engine=engine, warn_on_no_convergence=False,
-        ).labels
-    except ReproError:  # pragma: no cover - reference must not fail
-        raise
+    reference = nu_lpa(
+        graph, config, engine=engine, warn_on_no_convergence=False,
+    ).labels
     for i in range(seeds):
         rng = np.random.default_rng([seed, i])
         live_ooms, live_abs, live_valid, live_id, memory = _run_live(
@@ -401,6 +324,7 @@ def run_memory_soak(
             reconcile_high_water_bytes=rec_hw,
             reconcile_deviation=rec_dev,
             reconcile_utilization=rec_util,
+            reconcile_within_tolerance=rec_dev <= ESTIMATE_TOLERANCE,
             reconcile_identical=rec_id,
             memory=memory,
         ))

@@ -15,7 +15,7 @@ the same way the chaos layer proves single-run recovery:
 3. assert every job completed exactly once, with labels equal bit-for-bit
    to the reference.
 
-Crashes surface as :class:`~repro.resilience.chaos.InjectedCrash`, which
+Crashes surface as :class:`~repro.soak.InjectedCrash`, which
 deliberately is *not* a ``ReproError`` — anything in the service that
 swallowed it broadly would invalidate the soak.
 """
@@ -27,20 +27,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.resilience.chaos import (
-    CrashingCheckpointManager,
-    CrashPoint,
-    InjectedCrash,
-)
+from repro.errors import ConfigurationError, JobNotFoundError
+from repro.resilience.chaos import CrashingCheckpointManager, CrashPoint
 from repro.service.job import JobSpec, JobState
+from repro.service.journal import ServiceJournal
 from repro.service.service import DetectionService, ServiceConfig
+from repro.soak import InjectedCrash, drain_through_crashes
 
 __all__ = ["ServiceSoakOutcome", "run_service_soak"]
 
-#: Hard cap on restarts per schedule: a bug that makes recovery loop
-#: forever must fail the soak, not hang it.
-_MAX_RESTARTS = 64
+#: Process deaths scheduled per run: between job completions, and inside
+#: a checkpoint write.
+_CRASH_BETWEEN_JOBS = 2
+_CRASH_IN_CHECKPOINT = 1
 
 
 @dataclass
@@ -66,18 +65,13 @@ class ServiceSoakOutcome:
             and not self.mismatched
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "identical": self.identical,
-            "lost": list(self.lost),
-            "duplicated": list(self.duplicated),
-            "mismatched": list(self.mismatched),
-            "ok": self.ok,
-        }
+    @property
+    def silent(self) -> int:
+        """Jobs that completed with drifted labels and no error."""
+        return len(self.mismatched)
+
+    def counts(self) -> dict[str, int]:
+        return {"crash(es)": self.crashes, "job(s) identical": self.identical}
 
 
 def _reference_labels(
@@ -106,8 +100,6 @@ def run_service_soak(
     journal_dir: str | Path,
     config: ServiceConfig | None = None,
     seed: int = 0,
-    crash_between_jobs: int = 2,
-    crash_in_checkpoint: int = 1,
 ) -> ServiceSoakOutcome:
     """Run one seeded kill/restart schedule over ``specs``.
 
@@ -125,9 +117,6 @@ def run_service_soak(
     seed:
         Seeds the schedule: which jobs die between completions, which die
         mid-checkpoint, and at which checkpoint iteration.
-    crash_between_jobs / crash_in_checkpoint:
-        How many deaths of each kind to schedule (clamped to the job
-        count).
     """
     base = (config or ServiceConfig()).with_(
         journal_dir=None, chaos_hook=None, checkpoint_factory=None
@@ -142,24 +131,19 @@ def run_service_soak(
 
     rng = np.random.default_rng([seed & 0x7FFFFFFF, len(specs)])
     n = len(specs)
-    between = set(
-        rng.choice(n, size=min(crash_between_jobs, n), replace=False).tolist()
-    ) if crash_between_jobs > 0 and n > 0 else set()
-    in_ckpt = set(
-        rng.choice(n, size=min(crash_in_checkpoint, n), replace=False).tolist()
-    ) if crash_in_checkpoint > 0 and n > 0 else set()
-    ckpt_iteration = int(rng.integers(1, 4))
-
-    journal_dir = Path(journal_dir)
-    crashes = 0
-    restarts = 0
-    submitted: set[str] = set()
+    # Each scheduled death fires once: the hooks below pop from these sets,
+    # which outlive every restart.
+    between = {
+        specs[i].job_id
+        for i in rng.choice(n, size=min(_CRASH_BETWEEN_JOBS, n), replace=False)
+    } if n else set()
+    journal = ServiceJournal(journal_dir)
+    in_ckpt = {
+        journal.checkpoint_dir(specs[i].job_id)
+        for i in rng.choice(n, size=min(_CRASH_IN_CHECKPOINT, n), replace=False)
+    } if n else set()
+    ckpt_crash = CrashPoint(iteration=int(rng.integers(1, 4)), mode="after-write")
     completions: dict[str, int] = {}
-
-    # Mutable schedule state shared by the hooks across restarts: each
-    # scheduled death fires exactly once.
-    pending_between = set(between)
-    pending_ckpt = set(in_ckpt)
 
     def chaos_hook(point: str, record) -> None:
         if point != "job-finished":
@@ -169,62 +153,29 @@ def run_service_soak(
         # journaled labels and never come through this hook again).
         if record.state is JobState.COMPLETED:
             completions[record.job_id] = completions.get(record.job_id, 0) + 1
-        idx = _spec_index(specs, record.job_id)
-        if idx in pending_between:
-            pending_between.discard(idx)
+        if record.job_id in between:
+            between.discard(record.job_id)
             raise InjectedCrash(
                 f"scheduled process death after job {record.job_id!r}"
             )
 
-    class _Factory:
-        """Checkpoint factory that arms a crash for scheduled jobs only."""
-
-        def __init__(self) -> None:
-            self._armed: set[str] = set()
-
-        def __call__(self, directory, *, every=1, keep=None):
-            directory = Path(directory)
-            job_key = directory.name
-            for idx in list(pending_ckpt):
-                if directory.name.startswith(_safe_prefix(specs[idx].job_id)):
-                    if job_key not in self._armed:
-                        self._armed.add(job_key)
-                        pending_ckpt.discard(idx)
-                        return CrashingCheckpointManager(
-                            directory, every=every, keep=keep,
-                            crash=CrashPoint(
-                                iteration=ckpt_iteration, mode="after-write"
-                            ),
-                        )
-            from repro.resilience.checkpoint import CheckpointManager
-
-            return CheckpointManager(directory, every=every, keep=keep)
+    def checkpoint_factory(directory, *, every=1, keep=None):
+        """Arm a crash in the first checkpoint manager of a scheduled job."""
+        armed = Path(directory) in in_ckpt
+        in_ckpt.discard(Path(directory))
+        return CrashingCheckpointManager(
+            directory, every=every, keep=keep,
+            crash=ckpt_crash if armed else None,
+        )
 
     chaos_config = base.with_(
-        journal_dir=journal_dir,
+        journal_dir=journal.directory,
         chaos_hook=chaos_hook,
-        checkpoint_factory=_Factory(),
+        checkpoint_factory=checkpoint_factory,
     )
-
-    service = DetectionService(chaos_config)
-    while True:
-        try:
-            for spec in specs:
-                if spec.job_id not in submitted and spec.job_id not in service.jobs:
-                    service.submit(spec)
-                    submitted.add(spec.job_id)
-            service.drain()
-            break
-        except InjectedCrash:
-            crashes += 1
-            restarts += 1
-            if restarts > _MAX_RESTARTS:
-                raise ConfigurationError(
-                    f"service soak exceeded {_MAX_RESTARTS} restarts; "
-                    f"recovery is looping"
-                ) from None
-            # The "process" dies: drop the instance, restart on the journal.
-            service = DetectionService(chaos_config)
+    service, crashes = drain_through_crashes(
+        lambda: DetectionService(chaos_config), specs
+    )
 
     lost: list[str] = []
     mismatched: list[str] = []
@@ -232,7 +183,7 @@ def run_service_soak(
     for spec in specs:
         try:
             record = service.result(spec.job_id)
-        except Exception:
+        except JobNotFoundError:
             lost.append(spec.job_id)
             continue
         if record.state is not JobState.COMPLETED or record.outcome is None:
@@ -248,22 +199,9 @@ def run_service_soak(
         seed=seed,
         jobs=len(specs),
         crashes=crashes,
-        restarts=restarts,
+        restarts=crashes,
         identical=identical,
         lost=lost,
         duplicated=duplicated,
         mismatched=mismatched,
     )
-
-
-def _spec_index(specs: list[JobSpec], job_id: str) -> int:
-    for i, spec in enumerate(specs):
-        if spec.job_id == job_id:
-            return i
-    return -1
-
-
-def _safe_prefix(job_id: str) -> str:
-    from repro.service.journal import _safe_name
-
-    return _safe_name(job_id)

@@ -41,7 +41,6 @@ _EXPORTS = {
     "EpochState": "repro.stream.epoch",
     "EpochJournal": "repro.stream.epoch",
     "StreamProcessor": "repro.stream.processor",
-    "StreamSoakOutcome": "repro.stream.soak",
     "run_stream_soak": "repro.stream.soak",
     "random_delta_batches": "repro.stream.soak",
 }

@@ -42,7 +42,7 @@ from repro.errors import DeltaLogCorruptError, StreamError
 from repro.resilience.checkpoint import _fsync_dir
 from repro.stream.delta import DeltaBatch
 
-__all__ = ["DeltaLog", "StreamFsckEntry", "fsck_log"]
+__all__ = ["DeltaLog", "StreamFsckEntry", "encode_frame", "fsck_log"]
 
 _MAGIC = b"DLG1"
 _HEADER = struct.Struct("<4sQII")  # magic, seq, payload_len, payload_crc32
@@ -61,6 +61,14 @@ class _Frame:
     offset: int  # byte offset of the header within its segment
     length: int  # total frame length (header + payload)
     payload: bytes
+
+
+def encode_frame(seq: int, batch: DeltaBatch) -> bytes:
+    """One framed record: header, then the batch's canonical JSON."""
+    payload = json.dumps(
+        batch.as_dict(), separators=(",", ":"), sort_keys=True
+    ).encode()
+    return _HEADER.pack(_MAGIC, seq, len(payload), zlib.crc32(payload)) + payload
 
 
 def _segment_index(path: Path) -> int:
@@ -210,7 +218,8 @@ class DeltaLog:
     # Append
     # ------------------------------------------------------------------ #
 
-    def _current_segment(self) -> Path:
+    def current_segment(self) -> Path:
+        """The segment file the next append writes to."""
         segments = self.segments()
         if not segments:
             return self.directory / f"{_PREFIX}{1:06d}{_SUFFIX}"
@@ -229,13 +238,8 @@ class DeltaLog:
         fsync leaves at most a torn tail, which the next open truncates.
         """
         seq = self.head_seq + 1
-        payload = json.dumps(
-            batch.as_dict(), separators=(",", ":"), sort_keys=True
-        ).encode()
-        frame = _HEADER.pack(
-            _MAGIC, seq, len(payload), zlib.crc32(payload)
-        ) + payload
-        path = self._current_segment()
+        frame = encode_frame(seq, batch)
+        path = self.current_segment()
         fresh = not path.exists()
         try:
             with open(path, "ab") as fh:

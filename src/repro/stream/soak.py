@@ -27,38 +27,48 @@ seed:
    bit-identical to the reference, and the reference differential gap is
    within the accuracy bound.
 
-Deaths surface as :class:`~repro.resilience.chaos.InjectedCrash` — not a
+Deaths surface as :class:`~repro.soak.InjectedCrash` — not a
 ``ReproError``, so any over-broad handler in the pipeline would
 invalidate the soak.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import generate_standin
-from repro.resilience.chaos import InjectedCrash
 from repro.service.job import GraphRef, JobSpec, JobState
 from repro.service.service import DetectionService, ServiceConfig
+from repro.soak import InjectedCrash, SoakReport, drain_through_crashes
 from repro.stream.delta import DeltaBatch, DeltaOp
-from repro.stream.log import DeltaLog
+from repro.stream.epoch import EpochJournal
+from repro.stream.log import DeltaLog, encode_frame
 from repro.stream.processor import StreamProcessor
 
-__all__ = ["StreamSoakOutcome", "run_stream_soak", "random_delta_batches"]
+__all__ = ["run_stream_soak", "random_delta_batches"]
 
-#: Hard cap on service restarts per seed: looping recovery must fail the
-#: soak, not hang it.
-_MAX_RESTARTS = 64
-
-#: Accuracy bound of the differential check (see ISSUE/ROADMAP): the
-#: incremental labels either equal the from-scratch run bit-for-bit or
-#: sit within this modularity gap of it.
+#: Accuracy bound of the differential check: the incremental labels
+#: either equal the from-scratch run bit-for-bit or sit within this
+#: modularity gap of it.
 GAP_BOUND = 0.01
+
+#: The workload every seed replays: the ``com-Orkut`` stand-in (dense
+#: LFR-style communities, where warm-started incremental detection and a
+#: from-scratch run agree to within the gap bound; degenerate toys such as
+#: a 3x3 road grid have many equal-modularity optima, so the differential
+#: check would measure LPA's tie-breaking, not the pipeline).
+DATASET = "com-Orkut"
+SCALE = 0.03
+BATCHES = 6
+BATCH_SIZE = 5
+HOPS = 1
+#: Random service deaths per seed, on top of the one mid-epoch-apply
+#: death every seed gets.
+_SERVICE_DEATHS = 3
 
 _PRODUCER_MODES = ("none", "before-append", "mid-append", "after-append")
 _SERVICE_POINTS = ("pre-epoch", "mid-epoch-apply", "post-epoch")
@@ -141,19 +151,8 @@ def _produce_with_crashes(
         elif mode == "mid-append":
             # Die halfway through the frame: raw partial bytes, no fsync
             # acknowledgement.  The restart open must truncate this tail.
-            import json as _json
-            import struct as _struct
-            import zlib as _zlib
-
-            payload = _json.dumps(
-                batch.as_dict(), separators=(",", ":"), sort_keys=True
-            ).encode()
-            frame = _struct.Struct("<4sQII").pack(
-                b"DLG1", seq, len(payload), _zlib.crc32(payload)
-            ) + payload
-            segments = sorted(log_dir.glob("segment-*.wal"))
-            target = segments[-1] if segments else log_dir / "segment-000001.wal"
-            with open(target, "ab") as fh:
+            frame = encode_frame(seq, batch)
+            with open(log.current_segment(), "ab") as fh:
                 fh.write(frame[: max(1, len(frame) // 2)])
             deaths += 1
             log = DeltaLog(log_dir)
@@ -190,104 +189,51 @@ class SeedOutcome:
             and self.modularity_gap <= GAP_BOUND
         )
 
-    def as_dict(self) -> dict:
+    @property
+    def silent(self) -> int:
+        """A recovered stream that drifted from the reference."""
+        return int(not (self.labels_identical and self.graph_identical))
+
+    def counts(self) -> dict[str, int]:
         return {
-            "seed": self.seed,
-            "batches": self.batches,
-            "epochs": self.epochs,
-            "producer_deaths": self.producer_deaths,
-            "torn_tails": self.torn_tails,
-            "service_deaths": self.service_deaths,
-            "restarts": self.restarts,
-            "labels_identical": self.labels_identical,
-            "graph_identical": self.graph_identical,
-            "modularity_gap": self.modularity_gap,
-            "ok": self.ok,
+            "death(s)": self.producer_deaths + self.service_deaths,
+            "torn tail(s)": self.torn_tails,
         }
 
 
-@dataclass
-class StreamSoakOutcome:
-    """Aggregate result across every seed."""
-
-    seeds: list[SeedOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.seeds) and all(s.ok for s in self.seeds)
-
-    @property
-    def total_deaths(self) -> int:
-        return sum(s.producer_deaths + s.service_deaths for s in self.seeds)
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "num_seeds": len(self.seeds),
-            "total_deaths": self.total_deaths,
-            "seeds": [s.as_dict() for s in self.seeds],
-        }
-
-
-def run_stream_soak(
-    workdir: str | Path,
-    *,
-    num_seeds: int = 20,
-    dataset: str = "com-Orkut",
-    scale: float = 0.03,
-    num_batches: int = 6,
-    batch_size: int = 5,
-    hops: int = 1,
-    service_deaths: int = 3,
-) -> StreamSoakOutcome:
+def run_stream_soak(workdir: str | Path, *, num_seeds: int = 20) -> SoakReport:
     """Run the kill/restart chaos soak; see the module docstring.
 
     Every seed gets its own base graph, workload, crash schedule, and
-    directories under ``workdir``.  The outcome's :attr:`ok` asserts the
-    full contract: bit-identical labels *and* CSR arrays versus the
-    never-crashed reference, with the differential modularity gap within
-    :data:`GAP_BOUND`.
-
-    The default workload is the ``com-Orkut`` stand-in: dense LFR-style
-    communities where warm-started incremental detection and a
-    from-scratch run agree to within the gap bound.  (Degenerate toys —
-    a 3x3 road grid, say — have many equal-modularity local optima, so
-    the differential check would measure LPA's tie-breaking, not the
-    streaming pipeline.)
+    directories under ``workdir``.  The report's :attr:`~SoakReport.ok`
+    asserts the full contract: bit-identical labels *and* CSR arrays
+    versus the never-crashed reference, with the differential modularity
+    gap within :data:`GAP_BOUND`.
     """
     workdir = Path(workdir)
-    outcome = StreamSoakOutcome()
-    for seed in range(num_seeds):
-        outcome.seeds.append(_run_one_seed(
-            workdir / f"seed-{seed:03d}",
-            seed=seed,
-            dataset=dataset,
-            scale=scale,
-            num_batches=num_batches,
-            batch_size=batch_size,
-            hops=hops,
-            service_deaths=service_deaths,
-        ))
-    return outcome
+    return SoakReport(
+        kind="stream",
+        metadata={
+            "dataset": DATASET,
+            "scale": SCALE,
+            "batches_per_seed": BATCHES,
+            "batch_size": BATCH_SIZE,
+            "hops": HOPS,
+        },
+        records=[
+            _run_one_seed(workdir / f"seed-{seed:03d}", seed)
+            for seed in range(num_seeds)
+        ],
+    )
 
 
-def _run_one_seed(
-    root: Path,
-    *,
-    seed: int,
-    dataset: str,
-    scale: float,
-    num_batches: int,
-    batch_size: int,
-    hops: int,
-    service_deaths: int,
-) -> SeedOutcome:
-    rng = np.random.default_rng([seed & 0x7FFFFFFF, num_batches])
-    base = generate_standin(dataset, scale=scale, seed=seed)
+def _run_one_seed(root: Path, seed: int) -> SeedOutcome:
+    rng = np.random.default_rng([seed & 0x7FFFFFFF, BATCHES])
+    base = generate_standin(DATASET, scale=SCALE, seed=seed)
     batches = random_delta_batches(
         base, rng,
-        num_batches=num_batches, batch_size=batch_size,
-        grow_every=max(2, num_batches // 2),
+        num_batches=BATCHES, batch_size=BATCH_SIZE,
+        grow_every=max(2, BATCHES // 2),
     )
 
     # ---- reference: crash-free, with the differential check ------------
@@ -297,7 +243,7 @@ def _run_one_seed(
         ref_log.append(batch)
     reference = StreamProcessor(
         base, ref_log, ref_dir / "epochs",
-        hops=hops, differential_every=num_batches,
+        hops=HOPS, differential_every=BATCHES,
     )
     reference.recover()
     reference.run_to_head()
@@ -311,21 +257,21 @@ def _run_one_seed(
         _PRODUCER_MODES[int(rng.integers(len(_PRODUCER_MODES)))]
         for _ in batches
     ]
-    if num_batches >= 3:  # guarantee all three modes appear at least once
-        slots = rng.choice(num_batches, size=3, replace=False)
-        for slot, mode in zip(slots.tolist(), _PRODUCER_MODES[1:]):
-            producer_modes[slot] = mode
+    # Every death mode appears at least once.
+    slots = rng.choice(BATCHES, size=3, replace=False)
+    for slot, mode in zip(slots.tolist(), _PRODUCER_MODES[1:]):
+        producer_modes[slot] = mode
     producer_deaths, torn = _produce_with_crashes(
         chaos_dir / "wal", batches, producer_modes
     )
 
     # Service-side schedule: (epoch, point) pairs, each firing once.
     schedule = {
-        (int(rng.integers(1, num_batches + 1)),
+        (int(rng.integers(1, BATCHES + 1)),
          _SERVICE_POINTS[int(rng.integers(len(_SERVICE_POINTS)))])
-        for _ in range(service_deaths)
+        for _ in range(_SERVICE_DEATHS)
     }
-    schedule.add((max(1, num_batches // 2), "mid-epoch-apply"))  # always
+    schedule.add((max(1, BATCHES // 2), "mid-epoch-apply"))  # always
     pending = dict.fromkeys(sorted(schedule), True)
     seen_epoch = {"n": 0}
 
@@ -338,38 +284,26 @@ def _run_one_seed(
 
     spec = JobSpec(
         job_id=f"stream-{seed}",
-        graph=GraphRef(kind="dataset", name=dataset, scale=scale, seed=seed),
+        graph=GraphRef(kind="dataset", name=DATASET, scale=SCALE, seed=seed),
         kind="subscription",
         stream_dir=str(chaos_dir / "wal"),
-        hops=hops,
+        hops=HOPS,
     )
     config = ServiceConfig(
         journal_dir=chaos_dir / "journal",
         chaos_hook=chaos_hook,
     )
-    crashes = 0
-    restarts = 0
-    service = DetectionService(config)
-    while True:
-        try:
-            if spec.job_id not in service.jobs:
-                service.submit(spec)
-            service.drain()
-            break
-        except InjectedCrash:
-            crashes += 1
-            restarts += 1
-            if restarts > _MAX_RESTARTS:
-                raise ConfigurationError(
-                    f"stream soak exceeded {_MAX_RESTARTS} restarts; "
-                    f"recovery is looping"
-                ) from None
-            # The epoch counter is per-process state: a restarted service
-            # re-runs recovery (no chaos points) and then continues from
-            # the journaled epoch, so reset the observation counter to
-            # the journal's epoch on restart.
-            service = DetectionService(config)
-            seen_epoch["n"] = _journaled_epoch(service, spec.job_id)
+
+    def on_restart(service: DetectionService) -> None:
+        # The epoch counter is per-process state: a restarted service
+        # re-runs recovery (no chaos points) and then continues from the
+        # journaled epoch, so the observation counter restarts there.
+        state = EpochJournal(service.journal.stream_dir(spec.job_id)).latest()
+        seen_epoch["n"] = 0 if state is None else state.epoch
+
+    service, crashes = drain_through_crashes(
+        lambda: DetectionService(config), [spec], on_restart
+    )
 
     record = service.result(spec.job_id)
     done = (
@@ -382,7 +316,7 @@ def _run_one_seed(
 
     # Reconstruct the chaos stream's graph and compare CSR arrays.
     verify = StreamProcessor(base, chaos_dir / "wal",
-                             _stream_epoch_dir(service, spec.job_id), hops=hops)
+                             service.journal.stream_dir(spec.job_id), hops=HOPS)
     verify.recover()
     graph_identical = bool(
         np.array_equal(verify.graph.offsets, ref_graph.offsets)
@@ -393,24 +327,14 @@ def _run_one_seed(
 
     return SeedOutcome(
         seed=seed,
-        batches=num_batches,
+        batches=BATCHES,
         epochs=record.outcome.iterations if done else -1,
         producer_deaths=producer_deaths,
         torn_tails=torn,
         service_deaths=crashes,
-        restarts=restarts,
+        restarts=crashes,
         labels_identical=labels_identical,
         graph_identical=graph_identical,
         modularity_gap=float(gap),
     )
 
-
-def _stream_epoch_dir(service: DetectionService, job_id: str) -> Path:
-    return service.journal.stream_dir(job_id)
-
-
-def _journaled_epoch(service: DetectionService, job_id: str) -> int:
-    from repro.stream.epoch import EpochJournal
-
-    state = EpochJournal(_stream_epoch_dir(service, job_id)).latest()
-    return 0 if state is None else state.epoch

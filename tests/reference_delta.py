@@ -3,7 +3,7 @@
 :func:`repro.stream.epoch.apply_batch` walks a batch once and writes the
 net change into the CSR with one :class:`~repro.graph.transform.ArcIndex`
 merge.  :func:`reference_apply` states the same contract the slow way, as
-the oracle the differential tests (and the CI stream-soak leg) compare it
+the oracle the differential tests (and the CI soak job) compare it
 with — the role :mod:`tests.reference_sweep` plays for Algorithm 2:
 
 * the graph is a dict of arcs ``(src, dst) -> float32 weight``;

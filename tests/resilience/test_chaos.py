@@ -90,7 +90,7 @@ class TestSchedules:
 
     def test_schedule_fields_in_range(self):
         for seed in range(30):
-            s = make_schedule(seed, max_crash_iteration=4)
+            s = make_schedule(seed)
             assert 1 <= s.crash.iteration <= 4
             assert s.crash.mode in CRASH_MODES
             assert 0.2 <= s.fault_rate <= 1.0
@@ -99,8 +99,9 @@ class TestSchedules:
 
     def test_as_dict_json_ready(self):
         import json
+        from dataclasses import asdict
 
-        json.dumps(make_schedule(3).as_dict())
+        json.dumps(asdict(make_schedule(3)))
 
 
 class TestSoak:

@@ -21,11 +21,11 @@ class TestMemorySoak:
         doc = validate_memory_soak(report.as_dict())
         for record in doc["records"]:
             # Pressure actually happened on every schedule.
-            assert record["live"]["ooms"] + record["shrink"]["ooms"] >= 1
-            assert record["admission"]["rejected"]
-            assert record["reconcile"]["within_tolerance"]
-            assert record["reconcile"]["identical"]
-            assert 0.0 < record["reconcile"]["utilization"] <= 1.0 + 0.35
+            assert record["live_ooms"] + record["shrink_ooms"] >= 1
+            assert record["admission_rejected"]
+            assert record["reconcile_within_tolerance"]
+            assert record["reconcile_identical"]
+            assert 0.0 < record["reconcile_utilization"] <= 1.0 + 0.35
 
     def test_schedules_are_deterministic(self):
         graph = generate_standin("asia_osm", scale=0.05, seed=42)

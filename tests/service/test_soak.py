@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.service import JobSpec, ServiceConfig, run_service_soak
 from repro.service.soak import ServiceSoakOutcome
+from repro.soak import record_dict
 
 #: The workload each schedule replays: mixed datasets and engines.
 WORKLOAD = [
@@ -47,7 +48,7 @@ class TestKillRestartSoak:
             config=ServiceConfig(workers=1),
             seed=99,
         )
-        doc = outcome.as_dict()
+        doc = record_dict(outcome)
         assert doc["ok"] is True
         assert doc["jobs"] == 2
         assert isinstance(doc["crashes"], int)
@@ -65,3 +66,39 @@ class TestKillRestartSoak:
             lost=["x"],
         )
         assert not outcome.ok
+
+
+class TestResultErrors:
+    """Only an unknown job id counts as lost; any other error from
+    ``result()`` is a harness or service bug and must surface."""
+
+    def _patch_result(self, monkeypatch, exc):
+        from repro.service import DetectionService
+
+        real = DetectionService.result
+
+        def result(service, job_id):
+            if service.config.journal_dir is not None:  # the chaos run
+                raise exc
+            return real(service, job_id)
+
+        monkeypatch.setattr(DetectionService, "result", result)
+
+    def test_unknown_job_counts_as_lost(self, tmp_path, monkeypatch):
+        from repro.errors import JobNotFoundError
+
+        self._patch_result(monkeypatch, JobNotFoundError("gone"))
+        outcome = run_service_soak(
+            WORKLOAD[:1], journal_dir=tmp_path / "journal",
+            config=ServiceConfig(workers=1), seed=3,
+        )
+        assert outcome.lost == ["soak-0"]
+        assert not outcome.ok
+
+    def test_other_errors_propagate(self, tmp_path, monkeypatch):
+        self._patch_result(monkeypatch, RuntimeError("not a lost job"))
+        with pytest.raises(RuntimeError, match="not a lost job"):
+            run_service_soak(
+                WORKLOAD[:1], journal_dir=tmp_path / "journal",
+                config=ServiceConfig(workers=1), seed=3,
+            )
