@@ -39,6 +39,7 @@ __all__ = [
     "MemoryPressure",
     "DuplicateJobError",
     "JobNotFoundError",
+    "JournalVersionError",
     "ConvergenceWarning",
 ]
 
@@ -377,6 +378,22 @@ class DuplicateJobError(ReproError):
 
 class JobNotFoundError(ReproError):
     """A job id is unknown to the service (never admitted, or evicted)."""
+
+
+class JournalVersionError(ReproError):
+    """A service journal record was written in another on-disk format.
+
+    Raised instead of skipping the record: skipping would silently drop
+    an admitted job, and reading it under this build's layout could
+    serve labels from the wrong place.
+    """
+
+    def __init__(self, message: str, *, found, expected: int) -> None:
+        super().__init__(message)
+        #: Version the record declares.
+        self.found = found
+        #: Version this build reads and writes.
+        self.expected = expected
 
 
 class ConvergenceWarning(UserWarning):

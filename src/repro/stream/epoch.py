@@ -53,13 +53,20 @@ from repro.stream.delta import (
 )
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
-__all__ = ["ApplyOutcome", "apply_batch", "EpochState", "EpochJournal"]
+__all__ = [
+    "ApplyOutcome", "apply_batch", "EpochState", "EpochJournal", "epoch_path",
+]
 
 #: Bump when the epoch snapshot schema changes incompatibly.
 _SCHEMA_VERSION = 1
 
 _PREFIX = "epoch-"
 _SUFFIX = ".npz"
+
+
+def epoch_path(directory: str | Path, epoch: int) -> Path:
+    """Where an epoch journal in ``directory`` keeps epoch ``epoch``."""
+    return Path(directory) / f"{_PREFIX}{epoch:06d}{_SUFFIX}"
 
 
 @dataclass
@@ -225,7 +232,7 @@ class EpochJournal:
         self.skipped: list[tuple[Path, str]] = []
 
     def path_for(self, epoch: int) -> Path:
-        return self.directory / f"{_PREFIX}{epoch:06d}{_SUFFIX}"
+        return epoch_path(self.directory, epoch)
 
     def epochs(self) -> list[Path]:
         """All well-named snapshots, oldest first."""
@@ -263,11 +270,12 @@ class EpochJournal:
     def _prune(self, protect: Path) -> None:
         if self.keep is None:
             return
+        # No directory fsync: an unlink a crash forgets only leaves a
+        # superseded snapshot behind, which the next prune removes.
         found = self.epochs()
         for stale in found[: max(0, len(found) - self.keep)]:
             if stale != protect:
                 stale.unlink(missing_ok=True)
-        _fsync_dir(self.directory)
 
     @staticmethod
     def load(path: str | Path) -> EpochState:

@@ -1,5 +1,7 @@
 """DetectionService lifecycle: ladder, deadlines, journal, recovery, stats."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.errors import (
     ConfigurationError,
     DuplicateJobError,
     JobNotFoundError,
+    JournalVersionError,
 )
 from repro.graph.datasets import generate_standin
 from repro.observe.schema import validate_service_stats
@@ -284,6 +287,67 @@ class TestJournalRecovery:
 
         second = DetectionService(config)
         assert second.result("a").state is JobState.COMPLETED
+
+
+    def test_version_1_journal_is_refused_at_start(self, tmp_path):
+        config = ServiceConfig(workers=1, journal_dir=tmp_path / "j")
+        first = DetectionService(config)
+        first.submit(_spec("a"))
+        path = first.journal.job_path("a")
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        path.write_text(json.dumps(doc, indent=2))
+
+        with pytest.raises(JournalVersionError) as info:
+            DetectionService(config)
+        assert info.value.found == 1 and info.value.expected == 2
+        assert "version 1" in str(info.value)
+        assert "version 2" in str(info.value)
+
+    def test_claimed_job_killed_mid_run_resumes_from_checkpoints(self, tmp_path):
+        from repro.resilience.chaos import (
+            CrashingCheckpointManager,
+            CrashPoint,
+            InjectedCrash,
+        )
+        from repro.resilience.checkpoint import CheckpointManager
+
+        reference = DetectionService(ServiceConfig(workers=1))
+        reference.submit(_spec("a"))
+        reference.drain()
+        expected = reference.result("a").outcome.labels
+
+        config = ServiceConfig(
+            workers=1, journal_dir=tmp_path / "j",
+            checkpoint_factory=CrashingCheckpointManager.factory(
+                CrashPoint(iteration=2, mode="after-write")
+            ),
+        )
+        first = DetectionService(config)
+        first.submit(_spec("a"))
+        with pytest.raises(InjectedCrash):
+            first.drain()
+        # Claimed and half-run, yet the journal says pending: the claim
+        # is not a transition recovery reads.
+        on_disk = json.loads(first.journal.job_path("a").read_text())
+        assert on_disk["state"] == "pending"
+
+        saved = []
+
+        class Recording(CheckpointManager):
+            def save(self, state):
+                saved.append(state.iteration)
+                return super().save(state)
+
+        second = DetectionService(
+            config.with_(checkpoint_factory=Recording)
+        )
+        assert second.counters["recovered"] == 1
+        second.drain()
+        record = second.result("a")
+        assert record.state is JobState.COMPLETED
+        assert np.array_equal(record.outcome.labels, expected)
+        assert saved and min(saved) > 2  # resumed after iteration 2
 
 
 class TestStats:

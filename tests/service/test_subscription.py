@@ -1,10 +1,13 @@
 """Subscription jobs: streaming detection through the DetectionService."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph.datasets import generate_standin
+from repro.integrity.soak import flip_bit
 from repro.resilience.chaos import InjectedCrash
 from repro.service import (
     DetectionService,
@@ -14,6 +17,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.stream import DeltaLog, StreamProcessor, random_delta_batches
+from repro.stream.epoch import EpochJournal, EpochState, epoch_path
 
 DATASET = "com-Orkut"
 SCALE = 0.03
@@ -195,3 +199,125 @@ class TestAdvance:
         service.drain()
         with pytest.raises(ConfigurationError):
             service.advance_subscription("plain")
+
+
+def _journaled_epoch_snapshot(service, job_id):
+    """The epoch snapshot a completed subscription's record names."""
+    record = service.result(job_id)
+    return epoch_path(
+        service.journal.stream_dir(job_id), record.outcome.iterations
+    )
+
+
+class TestLabelOwner:
+    """A subscription's labels live once, in its epoch journal."""
+
+    def test_record_names_the_epoch_and_writes_no_labels_file(self, tmp_path):
+        _fill_log(tmp_path / "wal")
+        service = DetectionService(
+            ServiceConfig(journal_dir=tmp_path / "journal")
+        )
+        service.submit(_spec("sub", tmp_path / "wal"))
+        service.drain()
+        doc = json.loads(service.journal.job_path("sub").read_text())
+        assert doc["version"] == 2
+        assert doc["state"] == "completed"
+        assert doc["labels_epoch"] == 3
+        assert not service.journal.labels_path("sub").exists()
+        assert _journaled_epoch_snapshot(service, "sub").exists()
+
+        revived = DetectionService(
+            ServiceConfig(journal_dir=tmp_path / "journal")
+        )
+        record = revived.result("sub")
+        assert record.state is JobState.COMPLETED
+        assert np.array_equal(
+            record.outcome.labels, service.result("sub").outcome.labels
+        )
+        assert revived.drain() == 0
+
+    @pytest.mark.parametrize("damage", ["missing", "bit-rot", "other-labels"])
+    def test_damaged_epoch_snapshot_demotes_and_reruns(self, tmp_path, damage):
+        _fill_log(tmp_path / "wal")
+        config = ServiceConfig(journal_dir=tmp_path / "journal")
+        first = DetectionService(config)
+        first.submit(_spec("sub", tmp_path / "wal"))
+        first.drain()
+        labels = first.result("sub").outcome.labels.copy()
+        victim = _journaled_epoch_snapshot(first, "sub")
+        if damage == "missing":
+            victim.unlink()
+        elif damage == "bit-rot":
+            flip_bit(victim, victim.stat().st_size // 2, 0)
+        else:
+            # Readable and self-consistent, but not the labels the record
+            # names: the re-run must not adopt it.
+            EpochJournal(victim.parent).save(
+                EpochState(epoch=3, labels=labels[::-1].copy())
+            )
+
+        second = DetectionService(config)
+        assert second.result("sub").state is JobState.PENDING
+        assert second.counters["recovered"] == 1
+        second.drain()
+        record = second.result("sub")
+        assert record.state is JobState.COMPLETED
+        assert record.outcome.iterations == 3
+        assert np.array_equal(record.outcome.labels, labels)
+
+
+class TestAdvanceCrash:
+    def test_crash_mid_advance_resumes_at_the_log_head(self, tmp_path):
+        base, log = _fill_log(tmp_path / "wal")
+        more = random_delta_batches(
+            base, np.random.default_rng(99), num_batches=2, batch_size=3
+        )
+        ref = DetectionService(ServiceConfig(journal_dir=tmp_path / "ref"))
+        ref.submit(_spec("sub", tmp_path / "wal"))
+        ref.drain()
+
+        armed = {"on": False}
+
+        def chaos(point, record):
+            if armed["on"] and point == "post-epoch":
+                armed["on"] = False
+                raise InjectedCrash("die after the first advanced epoch")
+
+        config = ServiceConfig(
+            journal_dir=tmp_path / "journal", chaos_hook=chaos,
+        )
+        service = DetectionService(config)
+        service.submit(_spec("sub", tmp_path / "wal"))
+        service.drain()
+        for batch in more:
+            log.append(batch)
+        assert service.advance_subscription("sub") is True
+        armed["on"] = True
+        with pytest.raises(InjectedCrash):
+            service.drain()
+
+        # The advance was never journaled: the record still says
+        # completed at epoch 3, and the log head says work is pending.
+        revived = DetectionService(config)
+        assert revived.result("sub").state is JobState.PENDING
+        revived.drain()
+        assert ref.advance_subscription("sub") is True
+        ref.drain()
+        record = revived.result("sub")
+        assert record.state is JobState.COMPLETED
+        assert record.outcome.iterations == 5
+        assert np.array_equal(
+            record.outcome.labels, ref.result("sub").outcome.labels
+        )
+
+    def test_advance_checks_the_outcome_not_the_epoch_journal(self, tmp_path):
+        _fill_log(tmp_path / "wal")
+        service = DetectionService(
+            ServiceConfig(journal_dir=tmp_path / "journal")
+        )
+        service.submit(_spec("sub", tmp_path / "wal"))
+        service.drain()
+        for path in service.journal.stream_dir("sub").glob("epoch-*.npz"):
+            path.unlink()
+        # Caught up by its outcome (epoch 3 == log head): no re-run.
+        assert service.advance_subscription("sub") is False
