@@ -86,9 +86,10 @@ BENCH_SCHEMA_VERSION = 3
 #: ``repro.observe/service`` — a :class:`~repro.service.service.
 #: DetectionService` health snapshot (``service.stats()`` / ``repro serve
 #: --stats-out``).  v2 adds the required ``batching`` section; v3 the
-#: required ``memory`` section (device-memory admission).
+#: required ``memory`` section (device-memory admission); v4 the required
+#: ``subscriptions`` section (resident stream processors).
 SERVICE_SCHEMA = "repro.observe/service"
-SERVICE_SCHEMA_VERSION = 3
+SERVICE_SCHEMA_VERSION = 4
 
 #: ``repro.observe/query-bench`` — the read-path latency report written
 #: by ``benchmarks/bench_query.py``; ``BENCH_query.json`` at the repo root
@@ -438,6 +439,7 @@ SERVICE_SPEC = _obj({
         _at_most("in_flight_bytes", "high_water_bytes"),
         _budget_when_enabled,
     ),
+    "subscriptions": _obj(dict.fromkeys(("resident", "resident_bytes"), _COUNT)),
 })
 
 _LATENCY = _obj(

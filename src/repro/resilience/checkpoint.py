@@ -259,10 +259,13 @@ class CheckpointManager:
         if self.keep is None:
             return
         found = self.checkpoints()
+        removed = False
         for stale in found[: max(0, len(found) - self.keep)]:
             if stale != protect:
                 stale.unlink(missing_ok=True)
-        _fsync_dir(self.directory)
+                removed = True
+        if removed:
+            _fsync_dir(self.directory)
 
     # ------------------------------------------------------------------ #
 

@@ -33,10 +33,12 @@ chaos layers are built on.
 
 from __future__ import annotations
 
+import mmap
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,6 +54,8 @@ from repro.errors import (
     ReproError,
     ServiceOverloaded,
 )
+from repro.graph.csr import CSRGraph
+from repro.observe.schema import SERVICE_SCHEMA_VERSION
 from repro.observe.trace import (
     BreakerEvent,
     JobEvent,
@@ -73,6 +77,9 @@ from repro.service.job import (
 from repro.service.journal import ServiceJournal, epoch_dir
 from repro.service.queue import AdmissionQueue
 
+if TYPE_CHECKING:
+    from repro.stream.processor import StreamProcessor
+
 __all__ = ["ServiceConfig", "DetectionService"]
 
 _ENGINES = ("vectorized", "hashtable")
@@ -80,6 +87,39 @@ _ENGINES = ("vectorized", "hashtable")
 
 def _alternate(engine: str) -> str:
     return "vectorized" if engine == "hashtable" else "hashtable"
+
+
+def _price(result, cfg: LPAConfig) -> float:
+    """Modelled GPU seconds of one detection run."""
+    from repro.observe.profile import platform_for_device
+    from repro.perf.model import estimate_gpu_seconds
+
+    return estimate_gpu_seconds(
+        result.total_counters, platform_for_device(cfg.device)
+    )
+
+
+def _off_heap(graph: CSRGraph) -> CSRGraph:
+    """``graph`` copied into one anonymous memory mapping.
+
+    A resident subscription graph is replaced at every advance.  On the
+    malloc heap the replaced arrays leave holes the next epoch's do not
+    fit, so peak RSS creeps up; a mapping's pages go back to the OS when
+    its last array view is freed.
+    """
+    arrays = (graph.offsets, graph.targets, graph.weights)
+    starts, size = [], 0
+    for arr in arrays:
+        size += -size % arr.itemsize  # align each array to its dtype
+        starts.append(size)
+        size += arr.nbytes
+    buf = mmap.mmap(-1, max(size, 1))
+    views = []
+    for arr, start in zip(arrays, starts):
+        view = np.frombuffer(buf, arr.dtype, arr.shape[0], start)
+        view[:] = arr
+        views.append(view)
+    return CSRGraph(*views, validate=False)
 
 
 @dataclass(frozen=True)
@@ -299,6 +339,9 @@ class DetectionService:
         self.jobs: dict[str, JobRecord] = {}
         self._running: deque[JobRecord] = deque()
         self._memory_graphs: dict[str, object] = {}
+        #: Caught-up stream processors of subscriptions, by job id; see
+        #: :meth:`_execute_subscription`.
+        self._processors: dict[str, StreamProcessor] = {}
         self._seq = 0
         self._snapshot_seq = 0
         #: Service clock: modelled GPU seconds of completed work.
@@ -581,14 +624,11 @@ class DetectionService:
 
     def _execute(self, record: JobRecord) -> None:
         spec = record.spec
-        try:
-            graph = spec.graph.load(self._memory_graphs_for(spec))
-        except ReproError as exc:
-            self._finish_failed(record, f"graph load failed: {exc}")
-            return
-
         if spec.kind == "subscription":
-            self._execute_subscription(record, graph)
+            self._execute_subscription(record)
+            return
+        graph = self._load_graph(record)
+        if graph is None:
             return
 
         outcome = self._ladder(record, graph)
@@ -609,48 +649,42 @@ class DetectionService:
             return
         self._finish_completed(record, outcome)
 
-    def _execute_subscription(self, record: JobRecord, graph) -> None:
-        """Run one subscription job: replay its delta log into epochs.
+    def _load_graph(self, record: JobRecord):
+        """The job's base graph, or ``None`` after failing the job."""
+        try:
+            return record.spec.graph.load(self._memory_graphs)
+        except ReproError as exc:
+            self._finish_failed(record, f"graph load failed: {exc}")
+            return None
+
+    def _execute_subscription(self, record: JobRecord) -> None:
+        """Step one subscription job's stream processor to the log head.
 
         The job completes when every acknowledged batch has become an
-        epoch.  A killed service leaves the record pending in the
-        journal; on restart :meth:`_recover` re-admits it and the
-        processor's own recovery replays the delta log past the last
-        journaled epoch, resuming bit-identically (determinism of both
-        application and detection).  New batches appended after
-        completion are picked up by :meth:`advance_subscription`.
+        epoch, and its caught-up processor then stays resident in
+        :attr:`_processors`: the execution an :meth:`advance_subscription`
+        queues steps it from its current epoch, with no base-graph load
+        and no replay.  It goes back only after a clean return, caught up
+        or paused by :meth:`request_stop`; any exception leaves none.  An
+        execution without one (the first, or any after a restart or a
+        failure) builds a processor whose own recovery loads the newest
+        journaled epoch and replays the delta log up to it, resuming
+        bit-identically (determinism of both application and detection).
         """
-        from repro.stream.processor import StreamProcessor
-
-        spec = record.spec
-        cfg = self._job_config(spec)
+        processor = self._processors.pop(record.job_id, None)
+        if processor is None:
+            graph = self._load_graph(record)
+            if graph is None:
+                return
+        else:
+            processor.gpu_seconds = 0.0  # charged per execution
         t0 = time.perf_counter()
-        processor = None
         try:
-            # Construction opens (and fscks) the delta log, so it belongs
-            # inside the failure boundary too.
-            processor = StreamProcessor(
-                graph,
-                spec.stream_dir,
-                epoch_dir(self.journal, spec),
-                config=cfg,
-                engine=spec.engine,
-                hops=spec.hops,
-                policy=spec.delta_policy,
-                tracer=self.tracer,
-                differential_every=self.config.stream_differential_every,
-                chaos=(lambda point: self._chaos(point, record)),
-                price=(lambda result: self._price(result, cfg)),
-                publish=(
-                    None if self.read_catalog is None
-                    else (lambda state, job_id=spec.job_id:
-                          self.read_catalog.publish(
-                              job_id, state.labels,
-                              source="epoch", epoch=state.epoch,
-                          ))
-                ),
-            )
-            processor.recover()
+            if processor is None:
+                # Construction opens (and fscks) the delta log, so it
+                # belongs inside the failure boundary too.
+                processor = self._subscription_processor(record, graph)
+                processor.recover()
             while not self.stop_requested:
                 if processor.step() is None:
                     break
@@ -665,6 +699,9 @@ class DetectionService:
         record.wall_spent_s += wall
         record.gpu_spent_s += processor.gpu_seconds
         self.clock_s += processor.gpu_seconds
+        if processor.graph is not processor.base_graph:
+            processor.graph = _off_heap(processor.graph)
+        self._processors[record.job_id] = processor
         if self.stop_requested and processor.lag:
             record.state = JobState.RUNNING
             if self.journal is not None:
@@ -687,12 +724,50 @@ class DetectionService:
             wall_seconds=wall,
         ))
 
+    def _subscription_processor(
+        self, record: JobRecord, graph: CSRGraph
+    ) -> StreamProcessor:
+        """A new processor for subscription ``record`` over base ``graph``.
+
+        Its hooks capture the record, the job config and the catalog but
+        never the service, so dropping the service frees its resident
+        processors by reference counting.
+        """
+        from repro.stream.processor import StreamProcessor
+
+        spec = record.spec
+        cfg = self._job_config(spec)
+        hook = self.config.chaos_hook
+        catalog = self.read_catalog
+        return StreamProcessor(
+            graph,
+            spec.stream_dir,
+            epoch_dir(self.journal, spec),
+            config=cfg,
+            engine=spec.engine,
+            hops=spec.hops,
+            policy=spec.delta_policy,
+            tracer=self.tracer,
+            differential_every=self.config.stream_differential_every,
+            chaos=(None if hook is None
+                   else (lambda point: hook(point, record))),
+            price=(lambda result: _price(result, cfg)),
+            publish=(
+                None if catalog is None
+                else (lambda state: catalog.publish(
+                    spec.job_id, state.labels,
+                    source="epoch", epoch=state.epoch,
+                ))
+            ),
+        )
+
     def advance_subscription(self, job_id: str) -> bool:
         """Re-admit a completed subscription whose log has new batches.
 
         Returns ``True`` when the job was re-queued (call :meth:`drain`
         to process the new epochs), ``False`` when it is already caught
-        up or not yet finished.
+        up or not yet finished.  The delta log opened here to read the
+        head is the one the job's resident processor steps from.
         """
         record = self.result(job_id)
         if record.spec.kind != "subscription":
@@ -702,10 +777,13 @@ class DetectionService:
             )
         if record.state is not JobState.COMPLETED:
             return False
-        epoch, head = self._subscription_position(record)
-        if epoch is not None and epoch >= head:
+        epoch, log = self._subscription_position(record)
+        if epoch is not None and epoch >= log.head_seq:
             return False
         self.queue.push(record, retry_after_s=self.retry_after_hint())
+        resident = self._processors.get(job_id)
+        if resident is not None:
+            resident.log = log
         # Not journaled: the record on disk still names the completed
         # epoch, and :meth:`_recover` re-admits a completed subscription
         # whose log head is past it, so the log already records this work.
@@ -715,15 +793,13 @@ class DetectionService:
         self._emit_job(
             record, "admitted",
             detail=f"subscription advanced (epoch "
-                   f"{0 if epoch is None else epoch} -> head {head})",
+                   f"{0 if epoch is None else epoch} -> head {log.head_seq})",
         )
         return True
 
-    def _subscription_position(
-        self, record: JobRecord
-    ) -> tuple[int | None, int]:
-        """``(epoch, log head)`` of a subscription; ``epoch`` is ``None``
-        when it has no journaled epoch.
+    def _subscription_position(self, record: JobRecord):
+        """``(epoch, log)`` of a subscription: its epoch (``None`` when it
+        has none journaled) and its freshly opened, fscked ``DeltaLog``.
 
         A completed outcome's iterations are the processor's epoch, so
         the epoch journal is read only for a record without one.
@@ -737,7 +813,7 @@ class DetectionService:
 
             state = EpochJournal(epoch_dir(self.journal, record.spec)).latest()
             epoch = None if state is None else state.epoch
-        return epoch, DeltaLog(record.spec.stream_dir).head_seq
+        return epoch, DeltaLog(record.spec.stream_dir)
 
     def _advance_interrupted(self, record: JobRecord) -> bool:
         """Whether a recovered completed subscription lags its log head:
@@ -749,10 +825,10 @@ class DetectionService:
         ):
             return False
         try:
-            epoch, head = self._subscription_position(record)
+            epoch, log = self._subscription_position(record)
         except ReproError:
             return False  # the next advance_subscription reports the log
-        return epoch is None or epoch < head
+        return epoch is None or epoch < log.head_seq
 
     def _ladder(self, record: JobRecord, graph) -> JobOutcome | None:
         """Descend the ladder until some rung produces labels."""
@@ -876,7 +952,7 @@ class DetectionService:
             return self._attempt_failed(record, engine, exc, t0)
 
         wall = time.perf_counter() - t0
-        gpu = self._price(result, cfg)
+        gpu = _price(result, cfg)
         record.wall_spent_s += wall
         record.gpu_spent_s += gpu
         record.last_error = None
@@ -961,7 +1037,7 @@ class DetectionService:
             record.last_error = exc
             return None
         wall = time.perf_counter() - t0
-        gpu = self._price(coarse, cfg)
+        gpu = _price(coarse, cfg)
         record.wall_spent_s += wall
         record.gpu_spent_s += gpu
         self.clock_s += gpu
@@ -1135,7 +1211,7 @@ class DetectionService:
 
         return {
             "schema": "repro.observe/service",
-            "version": 3,
+            "version": SERVICE_SCHEMA_VERSION,
             "clock_s": self.clock_s,
             "wall_seconds": time.perf_counter() - self._wall_start,
             "workers": self.config.workers,
@@ -1174,6 +1250,14 @@ class DetectionService:
                 "serialized": self.counters["memory_serialized"],
                 "degradations": self.counters["memory_degraded"],
             },
+            "subscriptions": {
+                "resident": len(self._processors),
+                "resident_bytes": sum(
+                    p.graph.offsets.nbytes + p.graph.targets.nbytes
+                    + p.graph.weights.nbytes + p.labels.nbytes
+                    for p in self._processors.values()
+                ),
+            },
             "breakers": [b.snapshot() for b in self.breakers.values()],
             "latency": {
                 "count": int(lat_model.size),
@@ -1208,13 +1292,6 @@ class DetectionService:
             ),
         ))
         return doc
-
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-
-    def _memory_graphs_for(self, spec: JobSpec) -> dict:
-        return self._memory_graphs
 
     # ------------------------------------------------------------------ #
     # Memory-aware admission
@@ -1317,14 +1394,6 @@ class DetectionService:
             checkpoint_keep=self.config.checkpoint_keep,
             resume=True,
             checkpoint_factory=self.config.checkpoint_factory,
-        )
-
-    def _price(self, result, cfg: LPAConfig) -> float:
-        from repro.observe.profile import platform_for_device
-        from repro.perf.model import estimate_gpu_seconds
-
-        return estimate_gpu_seconds(
-            result.total_counters, platform_for_device(cfg.device)
         )
 
     def _scrub_job_checkpoints(self, job_id: str) -> None:

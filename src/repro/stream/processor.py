@@ -53,7 +53,10 @@ class StreamProcessor:
     base_graph:
         The epoch-0 graph (before any batch).
     log:
-        The stream's :class:`DeltaLog` (or its directory).
+        The stream's :class:`DeltaLog` (or its directory).  A log knows
+        the batches it found when opened plus those it appended; assign a
+        freshly opened one to :attr:`log` to step past batches another
+        writer appended since.
     journal:
         The stream's :class:`EpochJournal` (or its directory).
     config / engine:
@@ -82,9 +85,12 @@ class StreamProcessor:
     publish:
         Optional ``publish(state)`` called with each
         :class:`~repro.stream.epoch.EpochState` *after* its journal write
-        — the job service hooks the query snapshot catalog here.  Called
-        from :meth:`recover` too (recovery republish), so it must be
-        idempotent (the catalog dedupes on content).
+        — the job service hooks the query snapshot catalog here.
+        :meth:`recover` calls it once more for the restored epoch, which
+        heals a crash between the journal write and the publish, so it
+        must be idempotent (the catalog dedupes on content).  A processor
+        that keeps stepping (the service keeps a subscription's resident
+        between advances) runs :meth:`recover` only once, at its start.
     keep:
         Epoch journal retention ring (``None`` keeps everything).
     """

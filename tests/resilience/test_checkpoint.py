@@ -174,6 +174,23 @@ class TestDurability:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["ckpt-000005.npz", "ckpt-000006.npz"]
 
+    def test_prune_fsyncs_the_directory_only_after_an_unlink(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd)))
+        mgr = CheckpointManager(tmp_path, keep=3)
+        for it in (1, 2, 3):
+            mgr.save(make_state(it))
+        # Nothing pruned: the temp file and the rename, per save.
+        assert len(calls) == 3 * 2
+        mgr.save(make_state(4))
+        # One superseded checkpoint unlinked: one more directory fsync.
+        assert len(calls) == 3 * 2 + 3
+
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(CheckpointError):
             CheckpointManager(tmp_path, keep=0)

@@ -222,7 +222,7 @@ class TestServiceBatching:
         svc = self._run(batching=True)
         doc = svc.stats()
         validate_service_stats(doc)
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert doc["batching"]["enabled"] is True
         assert doc["batching"]["batches"] == 1
         assert doc["batching"]["batched_jobs"] == 8

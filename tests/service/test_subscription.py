@@ -1,13 +1,18 @@
 """Subscription jobs: streaming detection through the DetectionService."""
 
+import gc
 import json
+import mmap
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StreamError
 from repro.graph.datasets import generate_standin
 from repro.integrity.soak import flip_bit
+from repro.observe.profile import platform_for_device
+from repro.perf.model import estimate_gpu_seconds
 from repro.resilience.chaos import InjectedCrash
 from repro.service import (
     DetectionService,
@@ -321,3 +326,131 @@ class TestAdvanceCrash:
             path.unlink()
         # Caught up by its outcome (epoch 3 == log head): no re-run.
         assert service.advance_subscription("sub") is False
+
+
+def _appended(base, log, seed, batches):
+    """Append ``batches`` more random batches to ``log``."""
+    more = random_delta_batches(
+        base, np.random.default_rng(seed), num_batches=batches, batch_size=3
+    )
+    for batch in more:
+        log.append(batch)
+
+
+class TestResidentProcessor:
+    """A caught-up subscription's processor stays resident between
+    advances; it is rebuilt from disk only after a restart or a failure."""
+
+    def test_dropping_the_service_frees_its_processors(self, tmp_path):
+        _fill_log(tmp_path / "wal")
+        service = DetectionService(ServiceConfig(
+            journal_dir=tmp_path / "journal",
+            snapshot_dir=tmp_path / "snapshots",
+            chaos_hook=lambda point, record: None,
+        ))
+        service.submit(_spec("sub", tmp_path / "wal"))
+        service.drain()
+        assert service.stats()["subscriptions"]["resident"] == 1
+        processor = weakref.ref(service._processors["sub"])
+        gc.collect()
+        gc.disable()
+        try:
+            # Reference counting alone must free it: a processor whose
+            # hooks captured the service would keep both alive.
+            del service
+            assert processor() is None
+        finally:
+            gc.enable()
+
+    def test_advances_match_a_persistent_processor(self, tmp_path):
+        base, log = _fill_log(tmp_path / "wal")
+        service = DetectionService(ServiceConfig(
+            journal_dir=tmp_path / "journal",
+            snapshot_dir=tmp_path / "snapshots",
+        ))
+        service.submit(_spec("sub", tmp_path / "wal"))
+        service.drain()
+        platform = platform_for_device(service.config.lpa.device)
+        persistent = StreamProcessor(
+            base, tmp_path / "wal", tmp_path / "persistent",
+            price=lambda result: estimate_gpu_seconds(
+                result.total_counters, platform
+            ),
+        )
+        persistent.recover()
+        persistent.run_to_head()
+        for advance in range(4):
+            _appended(base, log, 100 + advance, 1)
+            assert service.advance_subscription("sub") is True
+            service.drain()
+            persistent.log = DeltaLog(tmp_path / "wal")
+            persistent.gpu_seconds = 0.0
+            assert persistent.step() is not None
+            record = service.result("sub")
+            assert record.outcome.iterations == persistent.epoch
+            assert np.array_equal(record.outcome.labels, persistent.labels)
+            assert record.outcome.modeled_seconds == persistent.gpu_seconds
+            resident = service._processors["sub"].graph
+            for name in ("offsets", "targets", "weights"):
+                assert np.array_equal(
+                    getattr(resident, name), getattr(persistent.graph, name)
+                )
+            # The resident graph lives in one anonymous mapping.
+            assert isinstance(resident.targets.base.obj, mmap.mmap)
+        stats = service.stats()["subscriptions"]
+        assert stats["resident"] == 1
+        assert stats["resident_bytes"] == (
+            resident.offsets.nbytes + resident.targets.nbytes
+            + resident.weights.nbytes + persistent.labels.nbytes
+        )
+
+    @pytest.mark.parametrize("error", [StreamError, RuntimeError])
+    def test_a_raising_execution_leaves_no_resident_processor(
+        self, tmp_path, error
+    ):
+        base, log = _fill_log(tmp_path / "wal")
+        armed = {"on": False}
+
+        def chaos(point, record):
+            if armed["on"] and point == "mid-epoch-apply":
+                raise error("injected")
+
+        service = DetectionService(ServiceConfig(
+            journal_dir=tmp_path / "journal", chaos_hook=chaos,
+        ))
+        service.submit(_spec("sub", tmp_path / "wal"))
+        service.drain()
+        assert service.stats()["subscriptions"]["resident"] == 1
+        _appended(base, log, 99, 1)
+        assert service.advance_subscription("sub") is True
+        armed["on"] = True
+        if error is StreamError:
+            service.drain()
+            assert service.result("sub").state is JobState.FAILED
+        else:
+            with pytest.raises(RuntimeError):
+                service.drain()
+        assert service.stats()["subscriptions"]["resident"] == 0
+
+    def test_advance_does_not_regenerate_the_dataset(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.graph.datasets as datasets
+
+        base, log = _fill_log(tmp_path / "wal")
+        service = DetectionService(
+            ServiceConfig(journal_dir=tmp_path / "journal")
+        )
+        service.submit(_spec("sub", tmp_path / "wal"))
+        service.drain()
+        calls = []
+        real = datasets.generate_standin
+        monkeypatch.setattr(
+            datasets, "generate_standin",
+            lambda *a, **k: (calls.append(a), real(*a, **k))[1],
+        )
+        _appended(base, log, 99, 2)
+        assert service.advance_subscription("sub") is True
+        service.drain()
+        assert service.result("sub").outcome.iterations == 5
+        assert calls == []
