@@ -50,7 +50,9 @@ GRAPHS = (("serve_small", 50_000), ("serve_large", 500_000))
 COMMUNITY_FILL = 50
 
 #: Op mix: memberships dominate real serving load; diffs are rare but
-#: priced honestly (each one opens and CRC-verifies two snapshots).
+#: priced honestly (each one lists the job's versions, re-checks the
+#: served newest version in place, and opens and CRC-verifies the older
+#: one, which no reader here has served).
 OP_MIX = {"membership": 0.899, "roster": 0.1, "diff": 0.001}
 
 ZIPF_S = 1.1

@@ -60,6 +60,9 @@ _RANK_LIMIT = np.int64(1) << 31
 _COMPOSITE_TABLE_LIMIT = 1 << 32
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
+_INT64_MIN = np.int64(np.iinfo(np.int64).min)
+#: Low 32 bits of an encoded group: ``_KEY_MASK - key``.
+_KEY_MASK = np.int64(0xFFFFFFFF)
 
 
 def _tie_rank(keys: np.ndarray, tie_break: str, arena, name: str) -> np.ndarray:
@@ -270,8 +273,31 @@ def best_labels_groupby(
         group_key = take(arena, "gb.gk", num_groups, keys.dtype)
         k.take(starts, out=group_key, mode="clip")
 
-    # Per-table argmax with ties in rank order: groups are rank-sorted
-    # within each table, so the *first* group attaining the table max wins.
+    if (
+        packed is not None
+        and accum == np.float32
+        and not np.isnan(sums.min())
+    ):
+        _winners_encoded(sums, group_table, group_key, out, arena)
+    else:
+        _winners_scan(sums, group_table, group_key, out, arena)
+    return out
+
+
+def _winners_scan(
+    sums: np.ndarray,
+    group_table: np.ndarray,
+    group_key: np.ndarray,
+    out: np.ndarray,
+    arena,
+) -> None:
+    """Write each present table's winning key into ``out``.
+
+    Groups arrive sorted by table and, within a table, in tie-break order;
+    the winner is the *first* group attaining the table's maximum sum.
+    """
+    num_groups = sums.shape[0]
+    accum = sums.dtype
     table_first = take(arena, "gb.tf", num_groups, bool)
     table_first[0] = True
     np.not_equal(group_table[1:], group_table[:-1], out=table_first[1:])
@@ -302,10 +328,50 @@ def best_labels_groupby(
 
     present_tables = take(arena, "gb.pt", num_present, np.int64)
     group_table.take(table_starts, out=present_tables, mode="clip")
-    winners = take(arena, "gb.win", num_present, keys.dtype)
+    winners = take(arena, "gb.win", num_present, group_key.dtype)
     group_key.take(first_max, out=winners, mode="clip")
     out[present_tables] = winners
-    return out
+
+
+def _winners_encoded(
+    sums: np.ndarray,
+    group_table: np.ndarray,
+    group_key: np.ndarray,
+    out: np.ndarray,
+    arena,
+) -> None:
+    """:func:`_winners_scan` for float32 sums and keys in ``[0, 2^32)``,
+    as one encoded max per table.
+
+    Each group becomes one int64, ``ordered(sum) << 32 | (2^32 - 1 - key)``,
+    where ``ordered`` maps float32 bits to an int32 of the same order, so
+    the largest code is the largest sum and, among equal sums, the
+    smallest key — the scan's first maximum on the ``"smallest"`` path,
+    where groups are key-sorted within a table.  ``-0.0`` is folded to
+    ``+0.0`` first (they compare equal as floats); NaN sums are the
+    caller's to exclude.  Tables without a group keep ``out``'s value.
+    ``sums`` is overwritten.
+    """
+    num_groups = sums.shape[0]
+    np.add(sums, np.float32(0.0), out=sums)  # -0.0 + 0.0 == +0.0
+    code = take(arena, "gb.code", num_groups, np.int64)
+    np.copyto(code, sums.view(np.int32), casting="unsafe")
+    # Negative floats order backwards by magnitude: flip their low 31 bits.
+    low = take(arena, "gb.low", num_groups, np.int64)
+    np.right_shift(code, np.int64(31), out=low)
+    np.bitwise_and(low, np.int64(0x7FFFFFFF), out=low)
+    np.bitwise_xor(code, low, out=code)
+    np.multiply(code, np.int64(1) << 32, out=code)
+    np.subtract(_KEY_MASK, group_key, out=low)
+    np.bitwise_or(code, low, out=code)
+    best = take(arena, "gb.best", out.shape[0], np.int64)
+    best.fill(_INT64_MIN)
+    np.maximum.at(best, group_table, code)
+    present = take(arena, "gb.present", out.shape[0], bool)
+    np.not_equal(best, _INT64_MIN, out=present)
+    np.bitwise_and(best, _KEY_MASK, out=best)
+    np.subtract(_KEY_MASK, best, out=best)
+    np.copyto(out, best, casting="unsafe", where=present)
 
 
 class VectorizedEngine:

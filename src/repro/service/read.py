@@ -10,7 +10,8 @@ load.  Three layers:
   a dense label→row map), so ``membership(v)`` is one O(1) array read and
   ``roster(c)`` is an O(|C|) slice copy — no scan, no sort, no hash at
   query time.  Every array section carries a CRC32 in the header and is
-  verified on open.
+  verified on open.  An open is one file open and one mapping of the
+  whole file.
 * :class:`SnapshotCatalog` — job_id → ordered versions on disk.
   :meth:`~SnapshotCatalog.publish` builds the index and writes it with
   the checkpoint layer's durability protocol (temp file fsynced before
@@ -20,8 +21,9 @@ load.  Three layers:
   ``latest()`` falls back generation-by-generation past corrupt files,
   CRC-verified, recording each skip.
 * :class:`QueryEngine` — the serving front end: caches one open snapshot
-  per job, exposes ``membership`` / ``roster`` / ``community_sizes`` /
-  ``diff``, counts ops, and emits
+  per job (and the one served before it, for ``diff``), exposes
+  ``membership`` / ``roster`` / ``community_sizes`` / ``diff``, counts
+  ops, and emits
   :class:`~repro.observe.trace.QueryEvent` /
   :class:`~repro.observe.trace.QueryStatsEvent` observability.
 
@@ -34,6 +36,8 @@ docs/query.md for the format and the atomicity guarantees.
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
 import struct
 import zlib
@@ -83,6 +87,10 @@ _ALIGN = 64
 _PREFIX = "v"
 _SUFFIX = ".snap"
 
+#: Magic plus the two u32 header words (length, CRC32); the JSON header
+#: starts here.
+_HEADER_AT = len(MAGIC) + 8
+
 #: Section order in the file; also the required set at open time.
 _ARRAY_NAMES = ("labels", "comm_ids", "comm_offsets", "comm_members", "label_rows")
 
@@ -105,16 +113,19 @@ def _build_index(labels: np.ndarray) -> dict[str, np.ndarray]:
     n = labels.shape[0]
     if n and int(labels.min()) < 0:
         raise SnapshotError("labels must be non-negative")
-    order = np.argsort(labels, kind="stable").astype(np.int64)
-    comm_ids, counts = np.unique(labels, return_counts=True)
-    comm_offsets = np.zeros(comm_ids.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=comm_offsets[1:])
-    rows = int(labels.max()) + 1 if n else 0
+    order = np.argsort(labels, kind="stable").astype(np.int64, copy=False)
+    # Groups are the runs of the sorted labels: one sort serves the member
+    # order, the community ids and the offsets.
+    ordered = labels[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    comm_ids = ordered[starts]
+    comm_offsets = np.append(starts, n).astype(np.int64, copy=False)
+    rows = int(ordered[-1]) + 1 if n else 0
     label_rows = np.full(rows, -1, dtype=np.int64)
     label_rows[comm_ids] = np.arange(comm_ids.shape[0], dtype=np.int64)
     return {
         "labels": labels,
-        "comm_ids": comm_ids.astype(np.int64),
+        "comm_ids": comm_ids,
         "comm_offsets": comm_offsets,
         "comm_members": order,
         "label_rows": label_rows,
@@ -194,11 +205,12 @@ def write_snapshot(
 class Snapshot:
     """One open, mmap-backed, CRC-verified snapshot file.
 
-    All query methods read straight out of the memory map; nothing is
-    deserialised up front beyond the JSON header, so opening a snapshot
-    is O(header) + one CRC pass (skippable with ``verify=False`` for
-    callers that already trust the file, e.g. re-opens of a version that
-    verified earlier in the process).
+    Opening costs one file open, one ``read`` of the header and one
+    mapping of the whole file; the five sections are read-only
+    ``np.frombuffer`` views into that mapping.  Nothing is deserialised
+    up front beyond the JSON header, so an open is O(header) + one CRC
+    pass (skippable with ``verify=False`` for callers that already trust
+    the file).
     """
 
     def __init__(
@@ -206,6 +218,11 @@ class Snapshot:
         path: Path,
         header: dict,
         arrays: dict[str, np.ndarray],
+        *,
+        mapping: mmap.mmap,
+        identity: tuple[int, int, int],
+        header_span: tuple[int, int],
+        crcs: dict[str, int],
     ) -> None:
         self.path = path
         self.job_id: str = header["job_id"]
@@ -221,6 +238,14 @@ class Snapshot:
         self._comm_offsets = arrays["comm_offsets"]
         self._comm_members = arrays["comm_members"]
         self._label_rows = arrays["label_rows"]
+        #: The whole file, read-only; ``None`` once closed.
+        self._mapping: mmap.mmap | None = mapping
+        #: ``(st_ino, st_size, st_mtime_ns)`` of the file when mapped.
+        self._identity = identity
+        #: ``(header_len, header_crc32)`` as read at open.
+        self._header_span = header_span
+        #: Section name -> CRC32 recorded in the header.
+        self._crcs = crcs
 
     # ------------------------------------------------------------------ #
 
@@ -229,16 +254,19 @@ class Snapshot:
         """Map one snapshot file; raises :class:`SnapshotCorruptError` on
         any structural or (with ``verify=True``) CRC damage."""
         path = Path(path)
-        header = read_header(path)
-        size = path.stat().st_size
-        # data_start is derived, not stored: align(magic + 2×u32 + header).
-        # Re-deriving it from the *parsed* header would be fragile (JSON
-        # round-trips are not byte-stable), so re-read the raw length.
-        with open(path, "rb") as fh:
-            fh.seek(len(MAGIC))
-            (header_len,) = struct.unpack("<I", fh.read(4))
-        data_start = _align(len(MAGIC) + 8 + header_len)
+        try:
+            with open(path, "rb") as fh:
+                header, header_len, header_crc = _check_header(fh, path)
+                st = os.fstat(fh.fileno())
+                # The header read proves the file is not empty, so the
+                # mapping (which refuses empty files) cannot fail on size.
+                mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except OSError as exc:
+            raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
+        size = len(mapping)
+        data_start = _align(_HEADER_AT + header_len)
         arrays: dict[str, np.ndarray] = {}
+        crcs: dict[str, int] = {}
         for name in _ARRAY_NAMES:
             meta = header["arrays"].get(name)
             if meta is None:
@@ -248,12 +276,19 @@ class Snapshot:
             try:
                 dtype = np.dtype(meta["dtype"])
                 shape = tuple(int(s) for s in meta["shape"])
+                offset = data_start + int(meta["offset"])
+                crcs[name] = crc = int(meta["crc32"])
             except (TypeError, KeyError, ValueError) as exc:
                 raise SnapshotCorruptError(
                     f"snapshot {path}: bad metadata for {name!r}: {exc}"
                 ) from exc
-            offset = data_start + int(meta["offset"])
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            if offset < data_start or any(s < 0 for s in shape):
+                raise SnapshotCorruptError(
+                    f"snapshot {path}: bad metadata for {name!r}: negative "
+                    f"offset or shape"
+                )
+            count = math.prod(shape)
+            nbytes = count * dtype.itemsize
             if offset + nbytes > size:
                 raise SnapshotCorruptError(
                     f"snapshot {path}: section {name!r} extends past EOF "
@@ -261,20 +296,26 @@ class Snapshot:
                     f"truncated file"
                 )
             if nbytes:
-                arrays[name] = np.memmap(
-                    path, dtype=dtype, mode="r", offset=offset, shape=shape
-                )
+                arrays[name] = np.frombuffer(
+                    mapping, dtype=dtype, count=count, offset=offset
+                ).reshape(shape)
             else:
                 arrays[name] = np.empty(shape, dtype=dtype)
             if verify:
-                actual = zlib.crc32(np.ascontiguousarray(arrays[name]))
-                if actual != int(meta["crc32"]):
+                actual = zlib.crc32(arrays[name])
+                if actual != crc:
                     raise SnapshotCorruptError(
                         f"snapshot {path}: CRC32 mismatch on {name!r} "
-                        f"(stored {meta['crc32']}, computed {actual}) — "
+                        f"(stored {crc}, computed {actual}) — "
                         f"corrupt snapshot"
                     )
-        snap = cls(path, header, arrays)
+        snap = cls(
+            path, header, arrays,
+            mapping=mapping,
+            identity=(st.st_ino, st.st_size, st.st_mtime_ns),
+            header_span=(header_len, header_crc),
+            crcs=crcs,
+        )
         if snap._comm_offsets.shape[0] != snap.num_communities + 1:
             raise SnapshotCorruptError(
                 f"snapshot {path}: community offsets length "
@@ -282,17 +323,59 @@ class Snapshot:
             )
         return snap
 
+    def unchanged_on_disk(self) -> bool:
+        """Whether :attr:`path` still holds exactly the bytes this object maps.
+
+        True when the file's identity (inode, size, ``mtime_ns``) equals
+        the one taken at open *and* the magic, the header CRC and every
+        section CRC still pass when re-run over the mapping in place — no
+        new open, read or mapping.  A file replaced under the same name,
+        resized, or damaged after open answers False.  The identity check
+        comes first, so a file truncated since open is never read through
+        the (then partly unbacked) mapping.
+        """
+        mapping = self._mapping
+        if mapping is None:
+            return False
+        try:
+            st = os.stat(self.path)
+        except OSError:
+            return False
+        if (st.st_ino, st.st_size, st.st_mtime_ns) != self._identity:
+            return False
+        header_len, header_crc = self._header_span
+        if (
+            mapping[:len(MAGIC)] != MAGIC
+            or zlib.crc32(mapping[_HEADER_AT:_HEADER_AT + header_len])
+            != header_crc
+        ):
+            return False
+        return all(
+            zlib.crc32(getattr(self, "_" + name)) == crc
+            for name, crc in self._crcs.items()
+        )
+
     def verify(self) -> None:
-        """Re-run the CRC pass over every mapped section."""
-        Snapshot.open(self.path, verify=True)
+        """Re-check the file; raises :class:`SnapshotCorruptError` on damage.
+
+        In place while the file is unchanged since open
+        (:meth:`unchanged_on_disk`); otherwise by a full verified open of
+        :attr:`path`, which names the damage.
+        """
+        if not self.unchanged_on_disk():
+            Snapshot.open(self.path, verify=True).close()
 
     def close(self) -> None:
-        """Drop the memory maps (queries after close are undefined)."""
-        for name in ("_labels", "_comm_ids", "_comm_offsets",
-                     "_comm_members", "_label_rows"):
-            arr = getattr(self, name)
-            if isinstance(arr, np.memmap):
-                setattr(self, name, np.empty(0, dtype=arr.dtype))
+        """Drop this object's references to the mapping.
+
+        Never unmaps: an array a caller took from :attr:`labels` stays
+        valid, and the mapping goes when its last view does.  Queries on
+        this object after close are undefined.
+        """
+        for name in _ARRAY_NAMES:
+            arr = getattr(self, "_" + name)
+            setattr(self, "_" + name, np.empty(0, dtype=arr.dtype))
+        self._mapping = None
 
     def __enter__(self) -> "Snapshot":
         return self
@@ -306,7 +389,7 @@ class Snapshot:
 
     @property
     def labels(self) -> np.ndarray:
-        """The label array (read-only memory map)."""
+        """The label array (a read-only view into the mapping)."""
         return self._labels
 
     def membership(self, vertex: int) -> int:
@@ -335,37 +418,32 @@ class Snapshot:
         row = int(self._label_rows[label])
         lo = int(self._comm_offsets[row])
         hi = int(self._comm_offsets[row + 1])
-        return np.asarray(self._comm_members[lo:hi]).copy()
+        return self._comm_members[lo:hi].copy()
 
     def community_sizes(self) -> tuple[np.ndarray, np.ndarray]:
         """``(community_ids, sizes)`` — O(num_communities)."""
-        offsets = np.asarray(self._comm_offsets)
-        return np.asarray(self._comm_ids).copy(), np.diff(offsets)
+        return self._comm_ids.copy(), np.diff(self._comm_offsets)
 
 
-def read_header(path: str | Path) -> dict:
-    """Parse and structurally check one snapshot header.
+def _check_header(fh, path: Path) -> tuple[dict, int, int]:
+    """Read and structurally check the header of an open snapshot file.
 
-    The header's own CRC32 (format v2) is always verified — only the
-    array sections have a skippable CRC pass.
+    ``fh`` is positioned at offset 0.  Returns ``(header, header_len,
+    header_crc32)``.  The header's own CRC32 (format v2) is always
+    verified — only the array sections have a skippable CRC pass.
     """
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise SnapshotCorruptError(
-                    f"snapshot {path}: bad magic {magic!r} (want {MAGIC!r})"
-                )
-            raw_words = fh.read(8)
-            if len(raw_words) != 8:
-                raise SnapshotCorruptError(f"snapshot {path}: truncated header")
-            header_len, header_crc = struct.unpack("<II", raw_words)
-            raw = fh.read(header_len)
-            if len(raw) != header_len:
-                raise SnapshotCorruptError(f"snapshot {path}: truncated header")
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise SnapshotCorruptError(
+            f"snapshot {path}: bad magic {magic!r} (want {MAGIC!r})"
+        )
+    raw_words = fh.read(8)
+    if len(raw_words) != 8:
+        raise SnapshotCorruptError(f"snapshot {path}: truncated header")
+    header_len, header_crc = struct.unpack("<II", raw_words)
+    raw = fh.read(header_len)
+    if len(raw) != header_len:
+        raise SnapshotCorruptError(f"snapshot {path}: truncated header")
     if zlib.crc32(raw) != header_crc:
         raise SnapshotCorruptError(
             f"snapshot {path}: header CRC {zlib.crc32(raw)} != recorded "
@@ -393,7 +471,21 @@ def read_header(path: str | Path) -> dict:
                 f"snapshot {path}: header missing {key!r}"
             )
     header.setdefault("epoch", None)
-    return header
+    return header, header_len, header_crc
+
+
+def read_header(path: str | Path) -> dict:
+    """Parse and structurally check one snapshot header.
+
+    The header's own CRC32 (format v2) is always verified — only the
+    array sections have a skippable CRC pass.
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as fh:
+            return _check_header(fh, path)[0]
+    except OSError as exc:
+        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------- #
@@ -609,7 +701,8 @@ class QueryEngine:
     """The serving front end over a :class:`SnapshotCatalog`.
 
     Keeps one open snapshot per job (explicitly refreshed — the hot path
-    never stats the directory), counts every op, and emits
+    never stats the directory) plus the one it served before, which the
+    default :meth:`diff` reuses; counts every op, and emits
     :class:`~repro.observe.trace.QueryEvent` per query when a tracer is
     enabled plus :class:`~repro.observe.trace.QueryStatsEvent` from
     :meth:`snapshot_stats`.
@@ -630,6 +723,8 @@ class QueryEngine:
             # Skip events from refresh() surface in the engine's trace.
             self.catalog.tracer = self.tracer
         self._cache: dict[str, Snapshot] = {}
+        #: The version each job served before its last refresh moved on.
+        self._previous: dict[str, Snapshot] = {}
         self.op_counts = {
             "membership": 0, "roster": 0, "community_sizes": 0,
             "diff": 0, "refresh": 0,
@@ -639,11 +734,19 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
 
     def refresh(self, job_id: str) -> Snapshot:
-        """(Re)load the newest readable snapshot of one job."""
+        """(Re)load the newest readable snapshot of one job.
+
+        The version served until now, if it is another file, is kept as
+        the job's previous version (the one before it is released), so a
+        default :meth:`diff` right after a refresh maps nothing new.
+        """
         snap = self.catalog.latest(job_id)
         old = self._cache.get(job_id)
         if old is not None and old.path != snap.path:
-            old.close()
+            displaced = self._previous.get(job_id)
+            if displaced is not None:
+                displaced.close()
+            self._previous[job_id] = old
         self._cache[job_id] = snap
         self.op_counts["refresh"] += 1
         return snap
@@ -656,9 +759,24 @@ class QueryEngine:
         return snap
 
     def close(self) -> None:
-        for snap in self._cache.values():
+        """Release every mapped version: served and previous."""
+        for snap in (*self._cache.values(), *self._previous.values()):
             snap.close()
         self._cache.clear()
+        self._previous.clear()
+
+    def _served(self, job_id: str, path: Path) -> Snapshot | None:
+        """This engine's mapping of ``path`` if the file is unchanged since.
+
+        Only the job's served and previous versions are candidates; either
+        is reused when :meth:`Snapshot.unchanged_on_disk` holds, so a
+        version damaged or replaced after it was mapped is re-opened (and
+        skipped if damaged) exactly as a never-served one would be.
+        """
+        for snap in (self._cache.get(job_id), self._previous.get(job_id)):
+            if snap is not None and snap.path == path:
+                return snap if snap.unchanged_on_disk() else None
+        return None
 
     # ------------------------------------------------------------------ #
 
@@ -708,24 +826,31 @@ class QueryEngine:
         from_version: int | None = None,
         to_version: int | None = None,
     ) -> SnapshotDiff:
-        """Churn between two versions (default: the two newest readable)."""
+        """Churn between two versions (default: the two newest readable).
+
+        The default pair reuses the engine's served and previous mappings
+        (see :meth:`_served`) and opens only what they do not cover.
+        """
         if (from_version is None) != (to_version is None):
             raise ConfigurationError(
                 "diff needs both versions or neither (neither = the two "
                 "newest readable)"
             )
+        # Versions opened here are dropped on return, which is all that
+        # Snapshot.close() would do.
         if from_version is None:
             readable: list[Snapshot] = []
             for path in reversed(self.catalog.versions(job_id)):
-                try:
-                    readable.append(Snapshot.open(path))
-                except SnapshotError:
-                    continue
+                snap = self._served(job_id, path)
+                if snap is None:
+                    try:
+                        snap = Snapshot.open(path)
+                    except SnapshotError:
+                        continue
+                readable.append(snap)
                 if len(readable) == 2:
                     break
             if len(readable) < 2:
-                for snap in readable:
-                    snap.close()
                 raise SnapshotNotFoundError(
                     f"job {job_id!r} has fewer than two readable snapshot "
                     f"versions; nothing to diff"
@@ -734,11 +859,7 @@ class QueryEngine:
         else:
             older = self.catalog.open_version(job_id, from_version)
             newer = self.catalog.open_version(job_id, to_version)
-        try:
-            result = diff_snapshots(older, newer)
-        finally:
-            older.close()
-            newer.close()
+        result = diff_snapshots(older, newer)
         self.op_counts["diff"] += 1
         if self.tracer.enabled:
             self.tracer.emit(QueryEvent(

@@ -158,6 +158,9 @@ class DeltaLog:
         self.repairs: list[str] = []
         #: Sequence number of the newest acknowledged batch (0 = empty).
         self.head_seq = 0
+        #: ``(segment, offset, length)`` of the frame of seq ``i + 1``:
+        #: filled by the open-time scan, extended by :meth:`append`.
+        self._frames: list[tuple[Path, int, int]] = []
         self._recover()
 
     # ------------------------------------------------------------------ #
@@ -184,6 +187,7 @@ class DeltaLog:
                         f"{frame.seq}) — acknowledged batches are missing",
                         reasons=[f"{path.name}: seq gap at offset {frame.offset}"],
                     )
+                self._frames.append((path, frame.offset, frame.length))
                 expected += 1
             if damage is not None:
                 if not is_last:
@@ -243,6 +247,7 @@ class DeltaLog:
         fresh = not path.exists()
         try:
             with open(path, "ab") as fh:
+                offset = fh.tell()
                 fh.write(frame)
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -250,6 +255,7 @@ class DeltaLog:
             raise StreamError(f"cannot append to {path}: {exc}") from exc
         if fresh:
             _fsync_dir(self.directory)
+        self._frames.append((path, offset, len(frame)))
         self.head_seq = seq
         return seq
 
@@ -269,15 +275,34 @@ class DeltaLog:
                 yield frame.seq, DeltaBatch.from_dict(json.loads(frame.payload))
 
     def read(self, seq: int) -> DeltaBatch:
-        """The batch with sequence number ``seq``."""
+        """The batch with sequence number ``seq``.
+
+        Reads that one frame at the segment offset the open-time scan (or
+        :meth:`append`) recorded, and re-checks its magic, seq and CRC
+        before decoding: a frame damaged on disk since then raises
+        :class:`~repro.errors.DeltaLogCorruptError`, never a wrong batch.
+        """
         if not 1 <= seq <= self.head_seq:
             raise StreamError(
                 f"batch seq {seq} is not in the log (head is {self.head_seq})"
             )
-        for got, batch in self.replay(start=seq):
-            if got == seq:
-                return batch
-        raise StreamError(f"batch seq {seq} vanished from the log")  # pragma: no cover
+        path, offset, length = self._frames[seq - 1]
+        try:
+            with open(path, "rb") as fh:
+                fh.seek(offset)
+                data = fh.read(length)
+        except OSError as exc:
+            raise StreamError(f"cannot read {path}: {exc}") from exc
+        frames, _, damage = _scan_segment(data)
+        if damage is None and [f.seq for f in frames] != [seq]:
+            damage = f"found seq(s) {[f.seq for f in frames]}, want [{seq}]"
+        if damage is not None:
+            raise DeltaLogCorruptError(
+                f"delta log {self.directory}: batch seq {seq} at "
+                f"{path.name} offset {offset} is damaged ({damage})",
+                reasons=[f"{path.name}: {damage}"],
+            )
+        return DeltaBatch.from_dict(json.loads(frames[0].payload))
 
 
 # --------------------------------------------------------------------- #

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import LPAConfig, nu_lpa
-from repro.core.engine_vectorized import best_labels_groupby
+from repro.core.engine_vectorized import (
+    _winners_encoded,
+    _winners_scan,
+    best_labels_groupby,
+)
 from repro.graph.build import from_edges
 from repro.metrics import modularity, normalized_mutual_information
 from repro.metrics.community_stats import compact_labels
@@ -75,6 +79,76 @@ class TestGroupbyProperties:
                     sums[int(keys[i])] = sums.get(int(keys[i]), 0.0) + values[i]
             if sums:
                 assert sums[int(got[t])] == pytest.approx(max(sums.values()))
+
+
+#: Weights that stress the float32 encoded tail: signed zeros, infinities,
+#: negatives and repeated values (exact ties).
+_EDGE_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, np.inf, -np.inf]),
+    st.floats(width=32, allow_nan=False),
+)
+
+
+@st.composite
+def f32_groupby_inputs(draw):
+    n_tables = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    table_id = np.sort(np.asarray(
+        draw(st.lists(st.integers(0, n_tables - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    ))
+    keys = np.asarray(draw(st.lists(
+        st.one_of(st.integers(0, 6), st.integers(0, 2**31 - 1)),
+        min_size=n, max_size=n,
+    )), dtype=np.int64)
+    values = np.asarray(
+        draw(st.lists(_EDGE_WEIGHTS, min_size=n, max_size=n)), dtype=np.float32
+    )
+    if draw(st.booleans()) and draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = np.nan
+    fallback = np.arange(n_tables, dtype=np.int64) + 100
+    return table_id, keys, values, fallback
+
+
+class TestWinnerTails:
+    """The float32 encoded max against the scan tail it replaces."""
+
+    @staticmethod
+    def _groups(table_id, keys, values):
+        """Group sums in the implementation's order: stable (table, key)."""
+        perm = np.lexsort((keys, table_id))
+        t, k, v = table_id[perm], keys[perm], values[perm]
+        first = np.ones(t.shape[0], dtype=bool)
+        first[1:] = (t[1:] != t[:-1]) | (k[1:] != k[:-1])
+        starts = np.flatnonzero(first)
+        return np.add.reduceat(v, starts), t[starts], k[starts]
+
+    @given(f32_groupby_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_groupby_matches_scan_tail(self, data):
+        table_id, keys, values, fallback = data
+        # inf + -inf and float32 overflow are part of the input space here.
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = best_labels_groupby(
+                table_id, keys, values, fallback, accum_dtype=np.float32
+            )
+            sums, group_table, group_key = self._groups(table_id, keys, values)
+        want = fallback.copy()
+        _winners_scan(sums, group_table, group_key, want, None)
+        assert np.array_equal(got, want)
+
+    @given(f32_groupby_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_encoded_tail_equals_scan_tail(self, data):
+        table_id, keys, values, fallback = data
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums, group_table, group_key = self._groups(table_id, keys, values)
+        sums[np.isnan(sums)] = -0.0  # NaN sums never reach the encoded tail
+        want = fallback.copy()
+        _winners_scan(sums, group_table, group_key, want, None)
+        got = fallback.copy()
+        _winners_encoded(sums.copy(), group_table, group_key, got, None)
+        assert np.array_equal(got, want)
 
 
 class TestLpaInvariants:

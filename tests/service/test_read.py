@@ -1,6 +1,8 @@
 """The versioned snapshot read path: format, catalog, and query engine."""
 
+import gc
 import json
+import os
 import struct
 import zlib
 
@@ -17,6 +19,7 @@ from repro.observe.trace import Tracer
 from repro.service.read import (
     MAGIC,
     QueryEngine,
+    _build_index,
     Snapshot,
     SnapshotCatalog,
     diff_snapshots,
@@ -84,6 +87,47 @@ class TestSnapshotFormat:
         assert snap.num_vertices == 0 and snap.num_communities == 0
         ids, sizes = snap.community_sizes()
         assert ids.shape == (0,) and sizes.shape == (0,)
+
+    @pytest.mark.parametrize("labels", [
+        _labels(n=300, communities=40, seed=5),
+        np.empty(0, dtype=np.int64),
+        np.asarray([7]),
+        np.asarray([9, 0, 9, 1000, 3, 0, 1000, 9]),  # gapped ids
+    ], ids=["random", "empty", "single", "gapped"])
+    def test_index_matches_unique_construction(self, labels):
+        got = _build_index(labels)
+        ids, counts = np.unique(labels.astype(np.int64), return_counts=True)
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        rows = np.full(int(labels.max()) + 1 if labels.size else 0, -1)
+        rows[ids] = np.arange(ids.shape[0])
+        want = {
+            "labels": labels.astype(np.int64),
+            "comm_ids": ids.astype(np.int64),
+            "comm_offsets": offsets,
+            "comm_members": np.argsort(labels, kind="stable"),
+            "label_rows": rows.astype(np.int64),
+        }
+        for name, arr in want.items():
+            assert got[name].dtype == np.int64, name
+            assert np.array_equal(got[name], arr), name
+
+    @pytest.mark.parametrize("closer", ["snapshot", "engine"])
+    def test_labels_outlive_close(self, tmp_path, closer):
+        labels = _labels()
+        cat = SnapshotCatalog(tmp_path)
+        cat.publish("j", labels)
+        if closer == "snapshot":
+            snap = cat.latest("j")
+            held = snap.labels
+            snap.close()
+        else:
+            eng = QueryEngine(cat)
+            held = eng.refresh("j").labels
+            cat.publish("j", labels + 1)
+            eng.refresh("j")
+            eng.close()
+        gc.collect()
+        assert np.array_equal(held, labels)
 
     def test_membership_matches_labels_everywhere(self, tmp_path):
         labels = _labels(n=257)
@@ -204,6 +248,14 @@ class TestCorruptionDetection:
         raw[len(MAGIC) + 8 + 2] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotCorruptError, match="header CRC"):
+            Snapshot.open(path)
+
+    @pytest.mark.parametrize("raw", [b"", MAGIC[:5], MAGIC + b"\x10\x00"],
+                             ids=["empty", "short-magic", "short-words"])
+    def test_file_shorter_than_header(self, tmp_path, raw):
+        path = tmp_path / "v00000001.snap"
+        path.write_bytes(raw)
+        with pytest.raises(SnapshotCorruptError):
             Snapshot.open(path)
 
     def test_verify_false_skips_crc(self, tmp_path):
@@ -405,6 +457,92 @@ class TestDiff:
         d = diff_snapshots(Snapshot.open(pa), Snapshot.open(pb))
         assert (d.from_epoch, d.to_epoch) == (3, 4)
         assert np.array_equal(d.changed, [1])
+
+
+class TestDiffReusesServedVersions:
+    """The default diff reuses the engine's own mappings when unchanged."""
+
+    @staticmethod
+    def _count_opens(monkeypatch):
+        opened = []
+        real = Snapshot.open.__func__
+
+        def counting(cls, path, **kw):
+            opened.append(path)
+            return real(cls, path, **kw)
+
+        monkeypatch.setattr(Snapshot, "open", classmethod(counting))
+        return opened
+
+    @staticmethod
+    def _served_pair(tmp_path, versions=2):
+        """An engine that served the newest version, then refreshed to a
+        freshly published one (the read pattern of a live subscription)."""
+        cat = SnapshotCatalog(tmp_path)
+        for i in range(versions):
+            cat.publish("j", _labels(seed=i))
+        eng = QueryEngine(cat)
+        eng.refresh("j")
+        newest = cat.publish("j", _labels(seed=versions))
+        eng.refresh("j")
+        return cat, eng, newest
+
+    @staticmethod
+    def _flip_section_byte(path, keep_mtime):
+        st = os.stat(path)
+        with open(path, "r+b") as fh:
+            fh.seek(-3, os.SEEK_END)  # inside label_rows
+            byte = fh.read(1)
+            fh.seek(-3, os.SEEK_END)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        if keep_mtime:
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+    def test_diff_after_refresh_opens_nothing(self, tmp_path, monkeypatch):
+        cat, eng, newest = self._served_pair(tmp_path)
+        opened = self._count_opens(monkeypatch)
+        d = eng.diff("j")
+        assert opened == []
+        with Snapshot.open(cat.versions("j")[-2]) as a, \
+                Snapshot.open(newest) as b:
+            want = diff_snapshots(a, b)
+        assert (d.from_version, d.to_version) == (2, 3)
+        assert np.array_equal(d.changed, want.changed)
+        assert np.array_equal(d.grown, want.grown)
+        assert d.fraction == want.fraction
+
+    @pytest.mark.parametrize("keep_mtime", [False, True],
+                             ids=["stat-differs", "stat-same"])
+    def test_damaged_served_version_is_skipped(self, tmp_path, keep_mtime):
+        cat, eng, _ = self._served_pair(tmp_path)
+        previous = cat.versions("j")[-2]
+        self._flip_section_byte(previous, keep_mtime)
+        d = eng.diff("j")
+        assert (d.from_version, d.to_version) == (1, 3)
+        fresh = QueryEngine(SnapshotCatalog(tmp_path)).diff("j")
+        assert (fresh.from_version, fresh.to_version) == (1, 3)
+        assert np.array_equal(d.changed, fresh.changed)
+
+    def test_replaced_served_version_is_reopened(self, tmp_path, monkeypatch):
+        cat, eng, newest = self._served_pair(tmp_path)
+        previous = cat.versions("j")[-2]
+        replacement = tmp_path / "replacement.snap"
+        write_snapshot(replacement, _labels(seed=99), job_id="j",
+                       snapshot_version=2)
+        os.replace(replacement, previous)
+        opened = self._count_opens(monkeypatch)
+        d = eng.diff("j")
+        assert opened == [previous]
+        want = _labels(seed=99) != _labels(seed=2)
+        assert np.array_equal(d.changed, np.flatnonzero(want))
+
+    def test_close_releases_served_and_previous(self, tmp_path, monkeypatch):
+        _, eng, _ = self._served_pair(tmp_path)
+        eng.close()
+        assert eng.stats()["served_jobs"] == []
+        opened = self._count_opens(monkeypatch)
+        eng.diff("j")
+        assert len(opened) == 2
 
 
 class TestQueryEngine:

@@ -34,6 +34,45 @@ class TestAppendReplay:
         with pytest.raises(StreamError):
             log.read(0)
 
+    def test_read_matches_replay_across_rotation(self, tmp_path):
+        # Seqs 1-4 are indexed by the open-time scan of the second
+        # instance, 5-12 by its own appends; both span several segments.
+        first = DeltaLog(tmp_path, segment_bytes=128)
+        for i in range(4):
+            first.append(_batch(i))
+        log = DeltaLog(tmp_path, segment_bytes=128)
+        for i in range(4, 12):
+            log.append(_batch(i))
+        assert len(log.segments()) > 2
+        for reader in (log, DeltaLog(tmp_path, segment_bytes=128)):
+            replayed = dict(reader.replay())
+            assert sorted(replayed) == list(range(1, 13))
+            for seq, batch in replayed.items():
+                assert reader.read(seq) == batch
+
+    def test_read_refuses_frame_damaged_after_open(self, tmp_path):
+        log = DeltaLog(tmp_path)
+        for i in range(3):
+            log.append(_batch(i))
+        path = log.segments()[0]
+        raw = bytearray(path.read_bytes())
+        second = raw.index(b"DLG1", 1)
+        raw[second + 30] ^= 0xFF  # a payload byte of seq 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DeltaLogCorruptError, match="seq 2"):
+            log.read(2)
+        assert log.read(1) == _batch(0)
+        assert log.read(3) == _batch(2)
+
+    def test_read_refuses_frame_truncated_after_open(self, tmp_path):
+        log = DeltaLog(tmp_path)
+        for i in range(2):
+            log.append(_batch(i))
+        path = log.segments()[0]
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(DeltaLogCorruptError):
+            log.read(2)
+
     def test_rotation_spans_segments(self, tmp_path):
         log = DeltaLog(tmp_path, segment_bytes=128)
         for i in range(10):
