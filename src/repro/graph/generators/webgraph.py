@@ -26,6 +26,19 @@ from repro.types import VERTEX_DTYPE
 __all__ = ["web_graph"]
 
 
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u)``, answered over the sorted queries.
+
+    Ascending queries let each binary search start where the last one
+    ended, so sorting the draws, searching, and scattering the answers
+    back is faster than searching in draw order — with the same answers.
+    """
+    order = np.argsort(u)
+    out = np.empty(u.shape[0], dtype=VERTEX_DTYPE)
+    out[order] = np.searchsorted(cum, u[order])
+    return out
+
+
 def web_graph(
     n: int,
     *,
@@ -89,7 +102,7 @@ def web_graph(
     n_cross = int(cross.sum())
     if n_cross:
         u = rng.random(n_cross) * cum_global[-1]
-        dst[cross] = np.searchsorted(cum_global, u).astype(VERTEX_DTYPE)
+        dst[cross] = _inverse_cdf(cum_global, u)
 
     # Within-host links: popularity-weighted sampling *inside the source's
     # host segment*, via segmented inverse CDF (vertices are already
@@ -102,7 +115,7 @@ def web_graph(
         lo_cum = np.where(seg_lo > 0, cum_global[seg_lo - 1], 0.0)
         hi_cum = cum_global[seg_hi - 1]
         u = lo_cum + rng.random(within_idx.shape[0]) * (hi_cum - lo_cum)
-        dst[within_idx] = np.searchsorted(cum_global, u).astype(VERTEX_DTYPE)
+        dst[within_idx] = _inverse_cdf(cum_global, u)
 
     dst = np.minimum(dst, n - 1)  # guard float-edge rounding at the CDF top
     keep = src != dst

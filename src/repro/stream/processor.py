@@ -244,9 +244,11 @@ class StreamProcessor:
                 np.arange(labels.shape[0], graph.num_vertices, dtype=VERTEX_DTYPE),
             ])
         frontier = affected_vertices(graph, outcome.touched, hops=self.hops)
+        # The frontier already holds the hops-neighbourhood: seeding with
+        # it at hops=0 runs the BFS once per epoch, not twice.
         result = nu_lpa_incremental(
-            graph, labels, outcome.touched,
-            config=self.config, engine=self.engine, hops=self.hops,
+            graph, labels, frontier,
+            config=self.config, engine=self.engine, hops=0,
         )
         self._charge(result)
 

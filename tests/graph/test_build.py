@@ -1,9 +1,12 @@
 """Tests for edge-array builders."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphConstructionError
+from repro.graph import build
 from repro.graph.build import (
     coo_to_csr,
     deduplicate_edges,
@@ -72,8 +75,24 @@ class TestDeduplicate:
         )
         assert s.shape[0] == 0
 
+    @pytest.mark.parametrize("src, dst, w, n", [
+        ([0, 1], [5, 2], [1.0, 7.0], 3),  # (0, 5) once aliased (1, 2)
+        ([0], [2], None, 2),  # (0, 2) once aliased (1, 0)
+        ([4], [0], None, 2),
+    ])
+    def test_id_at_or_above_num_vertices_rejected(self, src, dst, w, n):
+        with pytest.raises(GraphConstructionError, match="too small"):
+            deduplicate_edges(src, dst, w, num_vertices=n)
+
 
 class TestFromEdges:
+    def test_validates_its_input_once(self):
+        with mock.patch.object(
+            build, "_as_edge_arrays", wraps=build._as_edge_arrays
+        ) as validate:
+            from_edges(np.array([0, 1, 1]), np.array([1, 2, 2]))
+        assert validate.call_count == 1
+
     def test_symmetry_of_result(self):
         g = from_edges(np.array([0, 2, 3]), np.array([1, 1, 0]))
         assert is_symmetric(g)

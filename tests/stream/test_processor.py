@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import incremental
 from repro.errors import StreamError
 from repro.graph.datasets import generate_standin
 from repro.observe.trace import Tracer
 from repro.stream.delta import DeltaBatch, DeltaOp
-from repro.stream.epoch import EpochJournal
+from repro.stream import processor
+from repro.stream.epoch import EpochJournal, apply_batch
 from repro.stream.log import DeltaLog
 from repro.stream.processor import StreamProcessor
 from repro.stream.soak import random_delta_batches
@@ -63,6 +65,36 @@ class TestProcessing:
             assert e.frontier >= e.touched
         # The differential ran at epoch 3 and recorded its bound.
         assert events[-1].modularity_gap is not None
+
+    def test_one_frontier_bfs_per_epoch(self, tmp_path, base, monkeypatch):
+        """The step's frontier seeds the warm start as it is (hops=0): one
+        BFS per epoch, and the labels of a warm start that expands the
+        touched set itself."""
+        log = _filled_log(tmp_path, base, batches=1)
+        proc = StreamProcessor(base, log, tmp_path / "epochs")
+        proc.recover()
+        before_graph, before_labels = proc.graph, proc.labels
+        real = incremental.affected_vertices
+        bfs_hops = []
+
+        def counting(graph, touched, *, hops=1):
+            if hops:
+                bfs_hops.append(hops)
+            return real(graph, touched, hops=hops)
+
+        monkeypatch.setattr(processor, "affected_vertices", counting)
+        monkeypatch.setattr(incremental, "affected_vertices", counting)
+        state = proc.step()
+        assert bfs_hops == [proc.hops]
+        monkeypatch.undo()
+
+        outcome = apply_batch(before_graph, log.read(1), policy=proc.policy)
+        assert outcome.graph.num_vertices == before_labels.shape[0]
+        expected = incremental.nu_lpa_incremental(
+            outcome.graph, before_labels, outcome.touched, hops=proc.hops,
+            config=proc.config, engine=proc.engine,
+        )
+        assert np.array_equal(state.labels, expected.labels)
 
     def test_growth_pads_labels(self, tmp_path, base):
         log = DeltaLog(tmp_path / "wal")
