@@ -305,12 +305,15 @@ class CheckpointManager:
             SyntaxError,
             tokenize.TokenError,
             zipfile.BadZipFile,
+            NotImplementedError,
             json.JSONDecodeError,
         ) as exc:
             # BadZipFile and EOFError subclass Exception directly, not
             # OSError — a truncated container raises them from np.load.
             # A bit flip inside an npy member's own header escapes numpy's
-            # parser as SyntaxError (ast.literal_eval) or tokenize.TokenError.
+            # parser as SyntaxError (ast.literal_eval) or tokenize.TokenError;
+            # one in a member's compression-method field makes zipfile raise
+            # NotImplementedError.
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         if meta.get("version") != _SCHEMA_VERSION:
             raise CheckpointError(

@@ -287,10 +287,12 @@ class EpochJournal:
         except (
             OSError, KeyError, ValueError, EOFError,
             SyntaxError, tokenize.TokenError,
-            zipfile.BadZipFile, json.JSONDecodeError,
+            zipfile.BadZipFile, NotImplementedError, json.JSONDecodeError,
         ) as exc:
             # SyntaxError / TokenError: a bit flip inside an npy member's
             # own header escapes numpy's header parser undigested.
+            # NotImplementedError: one in a member's compression-method
+            # field makes zipfile reject the method.
             raise StreamError(f"unreadable epoch snapshot {path}: {exc}") from exc
         if meta.get("version") != _SCHEMA_VERSION:
             raise StreamError(

@@ -149,6 +149,17 @@ class TestDurability:
         with pytest.raises(CheckpointError):
             CheckpointManager.load(path)
 
+    def test_unknown_compression_method_is_checkpoint_error(self, tmp_path):
+        path = CheckpointManager(tmp_path).save(make_state(1))
+        blob = bytearray(path.read_bytes())
+        # The first central-directory entry's compression method (offset
+        # 10) names no method zipfile knows: it raises NotImplementedError.
+        entry = blob.index(b"PK\x01\x02")
+        blob[entry + 10:entry + 12] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="unreadable"):
+            CheckpointManager.load(path)
+
     def test_latest_falls_back_past_corrupt_newest(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
         for it in (1, 2, 3):

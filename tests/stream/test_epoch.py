@@ -138,6 +138,17 @@ class TestEpochJournal:
         with pytest.raises(StreamError):
             EpochJournal.load(path)
 
+    def test_unknown_compression_method_is_stream_error(self, tmp_path):
+        path = EpochJournal(tmp_path).save(self._state(1))
+        data = bytearray(path.read_bytes())
+        # The first central-directory entry's compression method (offset
+        # 10) names no method zipfile knows: it raises NotImplementedError.
+        entry = data.index(b"PK\x01\x02")
+        data[entry + 10:entry + 12] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamError, match="unreadable"):
+            EpochJournal.load(path)
+
     def test_keep_ring_prunes(self, tmp_path):
         journal = EpochJournal(tmp_path, keep=2)
         for e in range(5):
