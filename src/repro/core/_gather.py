@@ -70,12 +70,18 @@ def gather_edges(
         return EdgeGather(edge_index=_EMPTY, table_id=_EMPTY, edge_rank=_EMPTY)
     degrees = take(arena, f"{prefix}.deg", nv, graph.degrees.dtype)
     graph.degrees.take(vertices, out=degrees, mode="clip")
-    total = int(degrees.sum())
-    if total == 0:
+    if int(degrees.max()) == 0:
         return EdgeGather(edge_index=_EMPTY, table_id=_EMPTY, edge_rank=_EMPTY)
+    # Compact graphs hold int32 degrees and offsets.  A ufunc mixing them
+    # with int64 operands (a cumsum or sum widening into int64, a subtract
+    # with an int64 output) casts through a temporary buffer that numpy
+    # allocates per call, so each is first copied into an int64 slot and
+    # the arithmetic runs in place there.
     seg_start = take(arena, f"{prefix}.ss", nv, np.int64)
     seg_start[0] = 0
-    np.cumsum(degrees[:-1], out=seg_start[1:])
+    np.copyto(seg_start[1:], degrees[:-1])
+    np.cumsum(seg_start, out=seg_start)
+    total = int(seg_start[-1]) + int(degrees[-1])
 
     ramp = iota(arena, total)
     table_id = take(arena, f"{prefix}.tid", total, np.int64)
@@ -99,7 +105,8 @@ def gather_edges(
     ostarts = take(arena, f"{prefix}.off", nv, graph.offsets.dtype)
     graph.offsets.take(vertices, out=ostarts, mode="clip")
     starts = take(arena, f"{prefix}.adj", nv, np.int64)
-    np.subtract(ostarts, seg_start, out=starts)  # offset adjustment per vertex
+    np.copyto(starts, ostarts)
+    np.subtract(starts, seg_start, out=starts)  # offset adjustment per vertex
 
     edge_index = take(arena, f"{prefix}.ei", total, np.int64)
     starts.take(table_id, out=edge_index, mode="clip")

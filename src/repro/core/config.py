@@ -79,13 +79,16 @@ class LPAConfig:
         instead of :class:`~repro.observe.trace.KernelLaunchEvent`.
         Only the launch accounting changes — labels stay bit-identical.
     compact_layout:
-        Shrink per-run data to 32-bit ids when the graph fits: labels
-        (and, via :meth:`~repro.graph.csr.CSRGraph.with_compact_layout`,
-        CSR offsets/targets) drop from int64 to int32 whenever
-        ``num_vertices`` and ``num_edges`` are below ``2**31 - 1``.
-        Halves label/topology traffic; results are bit-identical because
-        every id fits either width.  Graphs too large for 32 bits are
-        silently left at full width.
+        Run on 32-bit ids when the graph fits: int32 CSR offsets/targets
+        and int32 labels whenever ``num_vertices`` and ``num_edges`` are
+        at most ``2**31 - 1``.  Built graphs are already stored that way,
+        so the run uses the caller's graph with no copy (a graph passed
+        in wide is copied via
+        :meth:`~repro.graph.csr.CSRGraph.with_compact_layout`).  ``False``
+        runs on a 64-bit copy (:meth:`~repro.graph.csr.CSRGraph.
+        with_wide_layout`) with int64 labels.  Results are bit-identical
+        either way because every id fits both widths.  Graphs too large
+        for 32 bits always run wide.
     degree_renumber:
         Renumber vertices in ascending-degree order before running
         (better coalescing for the block-per-vertex kernel model) and

@@ -275,11 +275,15 @@ def _prepare(
             )
         graph, run.perm = graph.sorted_by_degree()
 
-    # Data-layout shrinking: 32-bit offsets/targets (and labels) whenever
-    # the graph fits.  Values are unchanged — every kernel widens on the
-    # fly — so labels and counters stay bit-identical to the wide layout.
+    # Built graphs are already stored with 32-bit offsets/targets when
+    # they fit, so the compact run takes the caller's graph as is; a wide
+    # run (``compact_layout=False``) works on a 64-bit copy.  Values are
+    # unchanged — every kernel widens on the fly — so labels and counters
+    # are bit-identical across the two layouts.
     if config.compact_layout:
         graph = graph.with_compact_layout()
+    else:
+        graph = graph.with_wide_layout()
 
     # Device-memory governor: every region below is reserved against the
     # budget before it is allocated, so an oversized run fails here with
@@ -311,8 +315,9 @@ def _prepare(
         eng.tracer = tracer
     run.graph = graph
 
-    compact = graph.is_compact and (config.compact_layout or run.construction_rungs)
-    labels = run.labels = _initial_labels(graph.num_vertices, initial_labels, compact)
+    labels = run.labels = _initial_labels(
+        graph.num_vertices, initial_labels, graph.is_compact
+    )
     if governor is not None:
         # Labels plus the one working copy every iteration makes (the
         # supervisor snapshot / Cross-Check ``previous``).

@@ -19,9 +19,12 @@ cross-checks the estimator's CSR component against the *actual*
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.experiments.common import ExperimentResult
 from repro.gpu.device import A100, XEON_GOLD_6226R_DUAL
 from repro.gpu.governor import estimate_run_footprint
+from repro.graph.csr import index_dtype
 from repro.graph.datasets import dataset_names, generate_standin, get_dataset
 from repro.hashing.collision_free import memory_footprint
 from repro.perf.report import format_table
@@ -29,15 +32,6 @@ from repro.perf.report import format_table
 __all__ = ["run"]
 
 _GIB = 1024.0**3
-#: Largest index value a compact (int32) layout can address.
-_INT32_MAX = 2**31 - 1
-
-
-def _compact_fits_indices(num_vertices: int, num_edges: int) -> bool:
-    """Whether int32 offsets/targets can address this graph at all."""
-    return num_vertices <= _INT32_MAX and num_edges <= _INT32_MAX
-
-
 def _wave_edges(num_vertices: int, num_edges: int) -> int:
     """Analytic residency-wave edge bound at paper scale.
 
@@ -83,7 +77,7 @@ def run(
         wide = estimate_run_footprint(
             n, m, compact=False, engine="hashtable", wave_edges=wave,
         )
-        compact_ok = _compact_fits_indices(n, m)
+        compact_ok = index_dtype(n, m) == np.int32
         compact = (
             estimate_run_footprint(
                 n, m, compact=True, engine="hashtable", wave_edges=wave,

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DeviceOomError
 from repro.gpu.device import A100, DeviceSpec
+from repro.graph.csr import index_dtype
 
 __all__ = [
     "REGION_KINDS",
@@ -442,8 +443,7 @@ def footprint_for(
     graph.
     """
     compact = bool(getattr(config, "compact_layout", True)) and (
-        graph.num_edges <= np.iinfo(np.int32).max
-        and graph.num_vertices <= np.iinfo(np.int32).max
+        index_dtype(graph.num_vertices, graph.num_edges) == np.int32
     )
     value_itemsize = np.dtype(getattr(config, "value_dtype", np.float32)).itemsize
     return estimate_run_footprint(

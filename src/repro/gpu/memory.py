@@ -97,18 +97,25 @@ class MemoryModel:
         segment — short segments still pay one sector).  SCATTERED: every
         element is its own sector.  ``arena`` serves the per-segment
         scratch of the COALESCED branch (``mem.`` slot).
+
+        The lengths are those of distinct rows of one graph (or their
+        tables), so their sum fits the array's own width — an int32
+        degree array sums to at most a compact graph's arc count.  Both
+        branches therefore avoid mixed-width ufuncs, whose cast buffer
+        would allocate on every wave.
         """
         if segment_lengths.shape[0] == 0:
             return 0
         if pattern is AccessPattern.COALESCED:
             sectors = take(arena, "mem.sectors", segment_lengths.shape[0], np.int64)
-            np.multiply(segment_lengths, np.int64(element_bytes), out=sectors)
+            np.copyto(sectors, segment_lengths)
+            np.multiply(sectors, np.int64(element_bytes), out=sectors)
             # ceil division, in place: -(-x // sector_bytes).
             np.negative(sectors, out=sectors)
             np.floor_divide(sectors, self.sector_bytes, out=sectors)
             np.negative(sectors, out=sectors)
             return int(sectors.sum())
-        return int(segment_lengths.sum())
+        return int(segment_lengths.sum(dtype=segment_lengths.dtype))
 
     def sectors_for_addresses(
         self, addresses: np.ndarray, element_bytes: int, warp_ids: np.ndarray

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.graph.csr import CSRGraph
-from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
+from repro.graph.csr import CSRGraph, index_dtype
+from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 __all__ = [
     "from_edges",
@@ -115,11 +115,13 @@ def _stable_key_order(
 
 
 def _deduplicate(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int, combine: str
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int, combine: str,
+    target_dtype=VERTEX_DTYPE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge parallel arcs of validated arrays with ids in ``[0, n)``.
 
-    The result's rows are key-sorted (by source, then target).
+    The result's rows are key-sorted (by source, then target); the
+    targets are decoded straight into ``target_dtype``.
     """
     if combine not in ("sum", "max", "first"):
         raise GraphConstructionError(f"unknown combine mode {combine!r}")
@@ -140,7 +142,9 @@ def _deduplicate(
     # Free the arc-sized sort buffers before allocating the outputs, so the
     # CSR built from them reuses that memory instead of growing the heap.
     del order, first, keys_sorted
-    return uniq // n, uniq % n, merged
+    targets = np.empty(uniq.shape[0], dtype=target_dtype)
+    np.remainder(uniq, n, out=targets)
+    return uniq // n, targets, merged
 
 
 def deduplicate_edges(
@@ -169,11 +173,16 @@ def deduplicate_edges(
 def _csr(
     src: np.ndarray, dst: np.ndarray, weights: np.ndarray, num_vertices: int
 ) -> CSRGraph:
-    """CSR over arcs whose rows are already in order; takes ``dst``/``weights``."""
+    """CSR over arcs whose rows are already in order; takes ``dst``/``weights``.
+
+    Offsets and targets are written in the layout the engines run on:
+    int32 whenever the sizes fit (:func:`~repro.graph.csr.index_dtype`).
+    """
+    idx = index_dtype(num_vertices, dst.shape[0])
     counts = np.bincount(src, minlength=num_vertices)
-    offsets = np.zeros(num_vertices + 1, dtype=OFFSET_DTYPE)
+    offsets = np.zeros(num_vertices + 1, dtype=idx)
     np.cumsum(counts, out=offsets[1:])
-    return CSRGraph(offsets, dst, weights, validate=False)
+    return CSRGraph(offsets, dst.astype(idx, copy=False), weights, validate=False)
 
 
 def coo_to_csr(
@@ -182,7 +191,8 @@ def coo_to_csr(
     weights: np.ndarray,
     num_vertices: int,
 ) -> CSRGraph:
-    """Pack already-clean COO triples into CSR with a counting sort."""
+    """Pack already-clean COO triples into CSR with a counting sort
+    (compact layout when the sizes fit, as :func:`from_edges`)."""
     order = np.argsort(src, kind="stable")
     return _csr(src, dst[order], weights[order], num_vertices)
 
@@ -198,6 +208,9 @@ def from_edges(
     combine: str = "max",
 ) -> CSRGraph:
     """Build a CSR graph from edge arrays through the paper's pipeline.
+
+    The graph is stored in the layout the engines run on: int32 offsets
+    and targets whenever the vertex and arc counts fit, int64 otherwise.
 
     Parameters
     ----------
@@ -220,8 +233,12 @@ def from_edges(
     if symmetrize:
         src, dst, w = _symmetrize(src, dst, w)
     if dedupe and src.shape[0]:
-        # Dedupe leaves fresh, key-sorted arrays: nothing to sort or copy.
-        src, dst, w = _deduplicate(src, dst, w, num_vertices, combine)
+        # Dedupe leaves fresh, key-sorted arrays, the targets already at
+        # the graph's width (merging only shrinks the arc count).
+        src, dst, w = _deduplicate(
+            src, dst, w, num_vertices, combine,
+            index_dtype(num_vertices, src.shape[0]),
+        )
         return _csr(src, dst, w, num_vertices)
     return coo_to_csr(src, dst, w, num_vertices)
 

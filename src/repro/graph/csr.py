@@ -3,13 +3,17 @@
 An undirected weighted graph :math:`G(V, E, w)` stored exactly the way the
 paper's kernels consume it:
 
-* ``offsets`` — ``int64[N+1]``, edge range of vertex *i* is
+* ``offsets`` — ``int32[N+1]``, edge range of vertex *i* is
   ``[offsets[i], offsets[i+1])``;
-* ``targets`` — ``int64[M]`` neighbour ids, where ``M`` counts each
+* ``targets`` — ``int32[M]`` neighbour ids, where ``M`` counts each
   undirected edge in both directions (the paper's :math:`|E|` "after adding
   reverse edges");
 * ``weights`` — ``float32[M]`` matching edge weights (``1.0`` when the input
   is unweighted).
+
+Offsets and targets always share one width: 32 bits whenever ``N`` and
+``M`` fit (:func:`index_dtype`), which is how every builder stores them,
+and 64 bits otherwise or on request (:meth:`CSRGraph.with_wide_layout`).
 
 The container is immutable after construction: every algorithm in the
 library treats a :class:`CSRGraph` as read-only shared state, which is what
@@ -26,7 +30,20 @@ import numpy as np
 from repro.errors import GraphConstructionError
 from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
-__all__ = ["CSRGraph", "structural_issues"]
+__all__ = ["CSRGraph", "index_dtype", "structural_issues"]
+
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def index_dtype(num_vertices: int, num_edges: int) -> np.dtype:
+    """Width of a graph's offsets and targets: int32 when the sizes fit.
+
+    Offsets hold arc indices up to ``num_edges`` and targets hold vertex
+    ids below ``num_vertices``; past ``2**31 - 1`` either needs 64 bits.
+    """
+    if num_edges > _INT32_MAX or num_vertices > _INT32_MAX:
+        return np.dtype(OFFSET_DTYPE)
+    return np.dtype(np.int32)
 
 
 def structural_issues(
@@ -86,9 +103,13 @@ class CSRGraph:
     Parameters
     ----------
     offsets:
-        ``int64[N+1]`` monotonically non-decreasing, ``offsets[0] == 0``.
+        ``int32[N+1]`` or ``int64[N+1]``, monotonically non-decreasing,
+        ``offsets[0] == 0``.
     targets:
-        ``int64[M]`` neighbour ids with ``M == offsets[-1]``.
+        ``int32[M]`` or ``int64[M]`` neighbour ids with
+        ``M == offsets[-1]``.  When both arrays arrive int32 the graph
+        keeps them (the compact layout every builder produces); any other
+        pair is stored int64, so the two never differ in width.
     weights:
         Optional ``float32[M]``; defaults to all ones (unweighted input).
     validate:
@@ -107,14 +128,12 @@ class CSRGraph:
         *,
         validate: bool = True,
     ) -> None:
-        # Arrays arriving already in the compact (int32) layout keep it —
-        # see :meth:`with_compact_layout`; anything else is normalised to
-        # the wide canonical dtypes.
+        # Builders hand over arrays already in the width they keep; only a
+        # caller's mixed or non-int32 pair is widened here, never narrowed.
         offsets = np.ascontiguousarray(offsets)
-        if offsets.dtype != np.int32:
-            offsets = np.ascontiguousarray(offsets, dtype=OFFSET_DTYPE)
         targets = np.ascontiguousarray(targets)
-        if targets.dtype != np.int32:
+        if offsets.dtype != np.int32 or targets.dtype != np.int32:
+            offsets = np.ascontiguousarray(offsets, dtype=OFFSET_DTYPE)
             targets = np.ascontiguousarray(targets, dtype=VERTEX_DTYPE)
         if weights is None:
             weights = np.ones(targets.shape[0], dtype=WEIGHT_DTYPE)
@@ -306,8 +325,9 @@ class CSRGraph:
     def memory_bytes(self) -> int:
         """Device-accounted footprint, derived from the actual itemsizes.
 
-        Wide layout: 8-byte offsets/targets + 4-byte weights.  Compact
-        layout (:meth:`with_compact_layout`): 4-byte offsets/targets.
+        Compact layout (every built graph that fits): 4-byte
+        offsets/targets + 4-byte weights.  Wide layout
+        (:meth:`with_wide_layout`): 8-byte offsets/targets.
         """
         return self._offsets.itemsize * self._offsets.shape[0] + (
             self._targets.itemsize + self._weights.itemsize
@@ -325,24 +345,38 @@ class CSRGraph:
     def with_compact_layout(self) -> "CSRGraph":
         """This graph with 32-bit offsets and targets, when sizes allow.
 
-        Returns ``self`` unchanged when the layout is already compact or
-        when ``num_edges``/``num_vertices`` overflow int32 (offsets hold
-        edge indices up to ``num_edges``, targets hold vertex ids).  The
-        values are identical — only the storage width shrinks, halving
-        the memory traffic of every offsets/targets gather.
+        Returns ``self`` unchanged when the layout is already compact —
+        as it is for every graph a builder or transform produced that
+        fits — or when ``num_edges``/``num_vertices`` overflow int32.
+        Otherwise (a :meth:`with_wide_layout` copy, or arrays a caller
+        passed wide) it copies to the compact layout; the values are
+        identical, only the storage width shrinks.
         """
-        if self.is_compact:
+        fits = index_dtype(self.num_vertices, self.num_edges) == np.int32
+        if self.is_compact or not fits:
             return self
-        if self.num_edges > np.iinfo(np.int32).max or (
-            self.num_vertices > np.iinfo(np.int32).max
-        ):
+        return self._with_index_dtype(np.int32)
+
+    def with_wide_layout(self) -> "CSRGraph":
+        """This graph with 64-bit offsets and targets (``self`` if already).
+
+        What a run with ``LPAConfig(compact_layout=False)`` works on, so
+        the differential tests and the memory governor's compact rung
+        compare two real layouts.
+        """
+        if not self.is_compact:
             return self
-        return CSRGraph(
-            self._offsets.astype(np.int32),
-            self._targets.astype(np.int32),
+        return self._with_index_dtype(OFFSET_DTYPE)
+
+    def _with_index_dtype(self, dtype) -> "CSRGraph":
+        graph = CSRGraph(
+            self._offsets.astype(dtype),
+            self._targets.astype(dtype),
             self._weights,
             validate=False,
         )
+        graph._has_self_loops = self._has_self_loops
+        return graph
 
     def sorted_by_degree(self) -> tuple["CSRGraph", np.ndarray]:
         """Return a copy whose vertices are renumbered by ascending degree.

@@ -133,6 +133,26 @@ def _weight_hygiene(
     )
 
 
+def _vertex_ids(
+    values: np.ndarray, linenos: np.ndarray, path: str | Path
+) -> np.ndarray:
+    """A parsed id column as int64, refusing ids that are not integers.
+
+    Ids are parsed as float64 alongside the weights, so a token such as
+    ``1.5``, ``nan`` or ``1e300`` would otherwise truncate to some other
+    vertex without a word.  Past ``2**53`` float64 no longer holds every
+    integer, so such ids are refused too.
+    """
+    bad = ~(np.abs(values) < 2.0**53) | (values != np.floor(values))
+    if bad.any():
+        idx = int(np.flatnonzero(bad)[0])
+        raise GraphFormatError(
+            f"{path}: vertex id {float(values[idx])!r} on line "
+            f"{int(linenos[idx])} is not an integer"
+        )
+    return values.astype(VERTEX_DTYPE)
+
+
 # --------------------------------------------------------------------- #
 # Edge lists (SNAP style)
 # --------------------------------------------------------------------- #
@@ -183,13 +203,12 @@ def read_edgelist(
     except ValueError as exc:
         raise GraphFormatError(f"malformed edge list {path}: {exc}") from exc
 
-    src = data[:, 0].astype(VERTEX_DTYPE)
-    dst = data[:, 1].astype(VERTEX_DTYPE)
+    linenos = np.asarray(row_linenos, dtype=np.int64)
+    src = _vertex_ids(data[:, 0], linenos, path)
+    dst = _vertex_ids(data[:, 1], linenos, path)
     w = None
     if weighted:
-        w, keep = _weight_hygiene(
-            data[:, 2], np.asarray(row_linenos, dtype=np.int64), path, validate
-        )
+        w, keep = _weight_hygiene(data[:, 2], linenos, path, validate)
         if keep is not None:
             src, dst, w = src[keep], dst[keep], w[keep]
         w = w.astype(WEIGHT_DTYPE)
@@ -263,7 +282,12 @@ def read_matrix_market(
         body = fh.read()
 
     ncols_data = 2 if field == "pattern" else 3
-    data = np.loadtxt(io.StringIO(body), dtype=np.float64, ndmin=2)
+    try:
+        data = np.loadtxt(io.StringIO(body), dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise GraphFormatError(
+            f"{path}: malformed entries (row 0 is line {body_start}): {exc}"
+        ) from exc
     if data.shape[0] != nnz:
         raise GraphFormatError(
             f"{path}: header promises {nnz} entries, file has {data.shape[0]}"
@@ -271,11 +295,11 @@ def read_matrix_market(
     if data.shape[0] and data.shape[1] < ncols_data:
         raise GraphFormatError(f"{path}: expected {ncols_data} columns")
 
-    src = data[:, 0].astype(VERTEX_DTYPE) - 1  # 1-indexed on disk
-    dst = data[:, 1].astype(VERTEX_DTYPE) - 1
+    linenos = body_start + np.arange(data.shape[0], dtype=np.int64)
+    src = _vertex_ids(data[:, 0], linenos, path) - 1  # 1-indexed on disk
+    dst = _vertex_ids(data[:, 1], linenos, path) - 1
     w = None
     if field != "pattern":
-        linenos = body_start + np.arange(data.shape[0], dtype=np.int64)
         w, keep = _weight_hygiene(data[:, 2], linenos, path, validate)
         if keep is not None:
             src, dst, w = src[keep], dst[keep], w[keep]
@@ -334,15 +358,20 @@ def read_metis(path: str | Path, *, validate: str = "strict") -> CSRGraph:
     ws: list[np.ndarray] = []
     linenos: list[np.ndarray] = []
     for i, (lineno, line) in enumerate(numbered[1:]):
-        vals = np.fromstring(line, dtype=np.float64, sep=" ")
+        try:
+            vals = np.fromstring(line, dtype=np.float64, sep=" ")
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}: malformed adjacency on line {lineno}: {exc}"
+            ) from exc
         if has_edge_weights:
             if vals.shape[0] % 2:
                 raise GraphFormatError(f"{path}: odd token count on line {lineno}")
-            nbrs = vals[0::2].astype(VERTEX_DTYPE) - 1
-            wts = vals[1::2]
+            ids, wts = vals[0::2], vals[1::2]
         else:
-            nbrs = vals.astype(VERTEX_DTYPE) - 1
-            wts = np.ones(nbrs.shape[0], dtype=np.float64)
+            ids = vals
+            wts = np.ones(ids.shape[0], dtype=np.float64)
+        nbrs = _vertex_ids(ids, np.full(ids.shape[0], lineno), path) - 1
         srcs.append(np.full(nbrs.shape[0], i, dtype=VERTEX_DTYPE))
         dsts.append(nbrs)
         ws.append(wts)

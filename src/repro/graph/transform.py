@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.graph.build import coo_to_csr, deduplicate_edges, symmetrize_edges
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, index_dtype
 from repro.graph.properties import connected_components
 from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
@@ -163,6 +163,8 @@ class ArcIndex:
     keys.  ``resort`` asks for key-sorted rows with parallel arcs coalesced
     by ``combine``, which is what any insert or vertex-set growth returns
     (and what inserting needs); without it the rows keep their order.
+    The merged graph keeps the input's offsets/targets width, widening
+    only when its sizes no longer fit int32.
     """
 
     def __init__(
@@ -191,6 +193,7 @@ class ArcIndex:
                 np.cumsum(np.bincount(src, minlength=graph.num_vertices),
                           out=offsets[1:])
                 keys = src * self.key_n + targets
+                targets = targets.astype(graph.targets.dtype, copy=False)
             else:
                 order = np.argsort(keys, kind="stable")
         self._src, self._offsets = src, offsets
@@ -247,11 +250,14 @@ class ArcIndex:
                 "resort=True"
             )
         targets = self._targets
-        if self.resort:
-            targets = targets.astype(VERTEX_DTYPE, copy=False)
-        elif present.all():
+        if not self.resort and present.all():
             return CSRGraph(self._offsets, targets, new_w, validate=False)
 
+        num_arcs = targets.shape[0] - drop.shape[0] + int(np.count_nonzero(fresh))
+        idx = np.promote_types(
+            targets.dtype, index_dtype(self.num_vertices, num_arcs)
+        )
+        targets = targets.astype(idx, copy=False)
         counts = np.zeros(self.num_vertices, dtype=OFFSET_DTYPE)
         counts[: self.graph.num_vertices] = np.diff(self._offsets)
         if drop.shape[0]:
@@ -267,7 +273,7 @@ class ArcIndex:
             targets = np.insert(targets, at, new_keys % self.key_n)
             new_w = np.insert(new_w, at, weights[fresh])
             np.add.at(counts, new_keys // self.key_n, 1)
-        offsets = np.zeros(self.num_vertices + 1, dtype=OFFSET_DTYPE)
+        offsets = np.zeros(self.num_vertices + 1, dtype=idx)
         np.cumsum(counts, out=offsets[1:])
         return CSRGraph(offsets, targets, new_w, validate=False)
 

@@ -50,10 +50,12 @@ class CoalescedHashtables:
         self.values = np.zeros(size, dtype=value_dtype)
         self.nexts = np.full(size, _NO_NEXT, dtype=np.int64)
         self._p1 = np.asarray(table_capacity(graph.degrees), dtype=np.int64)
-        self._base = 2 * graph.offsets[:-1]
-        self._region = 2 * graph.degrees  # reserved slots per vertex
+        # int64 whatever the graph's offset width: 2 * offsets can exceed
+        # int32 on a compact graph.
+        self._base = 2 * graph.offsets[:-1].astype(np.int64)
+        self._region = 2 * graph.degrees.astype(np.int64)  # reserved slots per vertex
         # Cellar allocation pointer per vertex (counts down from region top).
-        self._cellar = self._region.astype(np.int64).copy()
+        self._cellar = self._region.copy()
         #: Probes = slot inspections + chain-link follows (cost-model input).
         self.total_probes = 0
         #: Chain-pointer dereferences; the extra traffic open addressing avoids.

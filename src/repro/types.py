@@ -32,7 +32,10 @@ __all__ = [
 #: overflow in NumPy; the memory model still *accounts* 4 bytes per id.
 VERTEX_DTYPE = np.int64
 
-#: CSR offsets. ``2 * offset`` addresses the hashtable buffers, so int64.
+#: Wide CSR offsets/targets.  Built graphs store both int32 whenever the
+#: sizes fit (:func:`repro.graph.csr.index_dtype`); this is the width of
+#: larger graphs and of :meth:`~repro.graph.csr.CSRGraph.with_wide_layout`.
+#: ``2 * offset`` addresses the hashtable buffers, which is int64 either way.
 OFFSET_DTYPE = np.int64
 
 #: Edge weights (paper: 32-bit floats).

@@ -9,8 +9,9 @@ None of the performance levers may change *what* is computed:
   accumulate is :func:`tests.reference_sweep.literal_accumulate` and
   whose reduce is the literal per-table loop of
   :func:`tests.reference_sweep.literal_max_key` plus a full clear;
-* ``compact_layout`` shrinks offsets/targets/labels to 32 bits when the
-  graph fits — same values, half the bytes;
+* graphs are stored with 32-bit offsets/targets when they fit, and
+  ``compact_layout=False`` runs a 64-bit copy (with 64-bit labels) —
+  same values, twice the bytes;
 * ``persistent_kernel`` only re-prices launches in the cost model — the
   partition itself must be untouched;
 * ``degree_renumber`` is the one *documented* exception: labels are a
@@ -35,7 +36,7 @@ from repro.errors import ConfigurationError
 from repro.graph.generators import rmat_graph, watts_strogatz, web_graph
 from repro.hashing.probing import ProbeStrategy
 from repro.types import VERTEX_DTYPE
-from tests.reference_sweep import no_arena, reference_reduce
+from tests.reference_sweep import engine_layouts, no_arena, reference_reduce
 
 ENGINES = ["vectorized", "hashtable"]
 
@@ -99,8 +100,12 @@ class TestFusedSweepDifferential:
 class TestCompactLayoutDifferential:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bit_identical_labels_and_counters(self, small_web, engine):
-        compact = _run(small_web, engine, compact_layout=True)
-        wide = _run(small_web, engine, compact_layout=False)
+        with engine_layouts() as layouts:
+            compact = _run(small_web, engine, compact_layout=True)
+            wide = _run(small_web, engine, compact_layout=False)
+        # Each side really ran its layout: the stored graph is compact,
+        # and the reference is a wide copy of it.
+        assert layouts == [(np.int32, np.int32), (np.int64, np.int64)]
         _assert_identical(compact, wide, engine)
         # The public result is always wide, whatever ran internally.
         assert compact.labels.dtype == VERTEX_DTYPE
@@ -111,10 +116,12 @@ class TestCompactLayoutDifferential:
         # Production against the far corner: wide layout, literal
         # reduce, no arena.
         fast = _run(small_social, engine)
-        slow = _run(
-            small_social, engine, reference=True, arena=False,
-            compact_layout=False,
-        )
+        with engine_layouts() as layouts:
+            slow = _run(
+                small_social, engine, reference=True, arena=False,
+                compact_layout=False,
+            )
+        assert layouts == [(np.int64, np.int64)]
         _assert_identical(fast, slow, engine)
 
     def test_initial_labels_outside_int32_fall_back_to_wide(self, triangle):

@@ -135,6 +135,33 @@ class TestSteadyStateAllocations:
             f"steady-state {engine} iterations allocated {peak - before} bytes"
         )
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_wide_layout_allocates_no_arrays(self, engine):
+        """Built graphs are compact, so the case above runs the compact
+        layout; the wide copy a ``compact_layout=False`` run works on must
+        stay allocation-free as well."""
+        graph = web_graph(4800, avg_degree=6, seed=3)
+        assert graph.is_compact
+        graph = graph.with_wide_layout()
+        config = LPAConfig(pruning=False)
+        eng = make_engine(graph, config, engine)
+        labels, frontier = _converge(eng, graph, config)
+
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for it in range(3):
+            outcome = eng.move(
+                labels, frontier, pick_less=config.pick_less_active(it),
+                iteration=it,
+            )
+            assert outcome.changed == 0
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak - before < self._SLACK_BYTES, (
+            f"steady-state wide {engine} iterations allocated {peak - before} bytes"
+        )
+
     def test_arena_off_allocates_plenty(self):
         """Control: the same fixed-point workload without the arena."""
         graph = web_graph(1200, avg_degree=6, seed=3)

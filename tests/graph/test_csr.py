@@ -121,15 +121,18 @@ class TestEqualityAndSort:
         assert g2.degree(0) == small_road.degree(int(perm[0]))
 
     def test_memory_bytes_accounting(self, triangle):
-        # 4 offsets * 8B + 6 arcs * (8B id + 4B weight) — derived from the
-        # actual itemsizes, not hardcoded widths.
-        assert triangle.memory_bytes() == 4 * 8 + 6 * (8 + 4)
+        # Built compact: 4 offsets * 4B + 6 arcs * (4B id + 4B weight) —
+        # derived from the actual itemsizes, not hardcoded widths.
+        assert triangle.is_compact
+        assert triangle.memory_bytes() == 4 * 4 + 6 * (4 + 4)
 
     def test_memory_bytes_tracks_compact_layout(self, triangle):
-        compact = triangle.with_compact_layout()
-        # 4 offsets * 4B + 6 arcs * (4B id + 4B weight).
+        wide = triangle.with_wide_layout()
+        # 4 offsets * 8B + 6 arcs * (8B id + 4B weight).
+        assert wide.memory_bytes() == 4 * 8 + 6 * (8 + 4)
+        compact = wide.with_compact_layout()
         assert compact.memory_bytes() == 4 * 4 + 6 * (4 + 4)
-        assert compact.memory_bytes() < triangle.memory_bytes()
+        assert compact.memory_bytes() < wide.memory_bytes()
 
 
 class TestSortedByDegreeDifferential:
@@ -204,13 +207,40 @@ class TestHashAudit:
 
 class TestCompactLayout:
     def test_round_trip_values(self, small_web):
-        compact = small_web.with_compact_layout()
+        wide = small_web.with_wide_layout()
+        compact = wide.with_compact_layout()
         assert compact.is_compact
-        assert not small_web.is_compact
-        assert np.array_equal(compact.offsets, small_web.offsets)
-        assert np.array_equal(compact.targets, small_web.targets)
-        assert np.array_equal(compact.weights, small_web.weights)
+        assert not wide.is_compact
+        assert wide.offsets.dtype == wide.targets.dtype == np.int64
+        assert compact.offsets.dtype == compact.targets.dtype == np.int32
+        for graph in (wide, compact):
+            assert np.array_equal(graph.offsets, small_web.offsets)
+            assert np.array_equal(graph.targets, small_web.targets)
+            assert np.array_equal(graph.weights, small_web.weights)
 
     def test_idempotent(self, small_web):
         compact = small_web.with_compact_layout()
         assert compact.with_compact_layout() is compact
+
+    def test_built_graphs_are_compact(self, small_web):
+        assert small_web.is_compact
+        assert small_web.with_compact_layout() is small_web
+        wide = small_web.with_wide_layout()
+        assert wide.with_wide_layout() is wide
+
+    def test_layout_copies_keep_the_self_loop_cache(self, small_web):
+        assert not small_web.has_self_loops
+        wide = small_web.with_wide_layout()
+        assert wide._has_self_loops is False
+        assert wide.with_compact_layout()._has_self_loops is False
+
+    def test_mixed_widths_are_widened(self):
+        g = CSRGraph(
+            np.array([0, 1, 2], dtype=np.int64), np.array([1, 0], dtype=np.int32)
+        )
+        assert g.offsets.dtype == g.targets.dtype == np.int64
+        g = CSRGraph(
+            np.array([0, 1, 2], dtype=np.int32), np.array([1, 0], dtype=np.int64)
+        )
+        assert g.offsets.dtype == g.targets.dtype == np.int64
+        assert not g.is_compact

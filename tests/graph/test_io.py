@@ -300,3 +300,65 @@ class TestWeightHygiene:
             load_graph(path)
         g = load_graph(path, validate="repair")
         assert g.num_undirected_edges == 2
+
+
+class TestVertexIdHygiene:
+    """Ids that are not integers are refused with file and line, never
+    truncated to another vertex."""
+
+    @pytest.mark.parametrize("token", ["1.5", "nan", "inf", "1e300"])
+    def test_edgelist_non_integer_id(self, tmp_path, token):
+        path = tmp_path / "g.txt"
+        path.write_text(f"# c\n0 2\n0 {token}\n")
+        with pytest.raises(GraphFormatError, match=r"g\.txt: vertex id .* line 3"):
+            read_edgelist(path)
+
+    def test_edgelist_fractional_source_with_weights(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1 1.0\n2.5 1 1.0\n")
+        with pytest.raises(GraphFormatError, match=r"vertex id 2\.5 on line 2"):
+            read_edgelist(path)
+
+    def test_mtx_non_integer_id(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% comment\n"
+            "3 3 2\n"
+            "1 2 1.0\n"
+            "2 2.5 1.0\n"
+        )
+        with pytest.raises(GraphFormatError, match=r"g\.mtx: vertex id 2\.5 on line 5"):
+            read_matrix_market(path)
+
+    def test_mtx_non_numeric_token(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 2\n"
+            "1 2 1.0\n"
+            "2 x 1.0\n"
+        )
+        with pytest.raises(GraphFormatError, match=r"g\.mtx: malformed entries"):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("body", [
+        "3 2\n2.5\n1 3\n2\n",
+        "3 2 001\n2.5 1.0\n1 1.0 3 1.0\n2 1.0\n",
+    ], ids=["unweighted", "weighted"])
+    def test_metis_non_integer_id(self, tmp_path, body):
+        path = tmp_path / "g.graph"
+        path.write_text(body)
+        with pytest.raises(GraphFormatError, match=r"g\.graph: vertex id 2\.5 on line 2"):
+            read_metis(path)
+
+    def test_metis_non_numeric_token(self, tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text("3 2\n2\n1 x\n2\n")
+        with pytest.raises(GraphFormatError, match=r"g\.graph: malformed adjacency on line 3"):
+            read_metis(path)
+
+    def test_integral_float_ids_still_load(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1.0\n1e0 2\n")
+        assert read_edgelist(path).num_undirected_edges == 2

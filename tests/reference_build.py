@@ -12,7 +12,8 @@ Algorithm 2 and :mod:`tests.reference_delta` for delta batches:
   ``argsort`` of ``src * n + dst`` and merges each group's weights in
   input order (``max``, float64 ``sum``, or ``first``);
 * :func:`reference_coo_to_csr` counts rows and always stable-argsorts
-  ``src`` to pack the targets and weights;
+  ``src`` to pack the targets and weights, storing offsets and targets
+  as int32 exactly when the vertex and arc counts fit int32;
 * :func:`reference_from_edges` adds reverse arcs for non-loops, dedupes
   and packs with the two above;
 * :func:`reference_inverse_cdf` is one ``np.searchsorted`` in draw order.
@@ -82,11 +83,16 @@ def reference_deduplicate_edges(
 
 
 def reference_coo_to_csr(src, dst, weights, num_vertices) -> CSRGraph:
+    int32_max = np.iinfo(np.int32).max
+    fits = num_vertices <= int32_max and dst.shape[0] <= int32_max
+    width = np.int32 if fits else OFFSET_DTYPE
     counts = np.bincount(src, minlength=num_vertices)
-    offsets = np.zeros(num_vertices + 1, dtype=OFFSET_DTYPE)
+    offsets = np.zeros(num_vertices + 1, dtype=width)
     np.cumsum(counts, out=offsets[1:])
     order = np.argsort(src, kind="stable")
-    return CSRGraph(offsets, dst[order], weights[order], validate=False)
+    return CSRGraph(
+        offsets, dst[order].astype(width), weights[order], validate=False
+    )
 
 
 def reference_from_edges(

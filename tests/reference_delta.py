@@ -13,7 +13,10 @@ with — the role :mod:`tests.reference_sweep` plays for Algorithm 2:
   edge that is absent at its point in the sequence is *missing*;
 * the CSR is built at the end by sorting the arcs: by key when the batch
   applied an add or grew the vertex set, else by source only, so rows
-  that were not key-sorted keep their order.
+  that were not key-sorted keep their order;
+* its offsets and targets keep the input graph's width — int32 for the
+  compact layout every builder produces — unless the new vertex or arc
+  count no longer fits int32.
 
 Structural validation (:func:`~repro.stream.delta.validate_batch`) is
 shared, not restated.  The base graph must hold no parallel arcs.
@@ -95,12 +98,15 @@ def reference_apply(
         return ReferenceOutcome(None, touched, 0, 0, 0, missing)
     resorted = n > graph.num_vertices or "add" in kinds
     items = sorted(arcs.items(), key=(lambda a: a[0]) if resorted else (lambda a: a[0][0]))
-    offsets = np.zeros(n + 1, dtype=np.int64)
+    int32_max = np.iinfo(np.int32).max
+    fits = n <= int32_max and len(items) <= int32_max
+    width = graph.targets.dtype if fits else np.dtype(np.int64)
+    offsets = np.zeros(n + 1, dtype=width)
     np.cumsum(np.bincount(np.asarray([s for (s, _), _ in items], dtype=np.int64),
                           minlength=n), out=offsets[1:])
     out = CSRGraph(
         offsets,
-        np.asarray([t for (_, t), _ in items], dtype=np.int64),
+        np.asarray([t for (_, t), _ in items], dtype=width),
         np.asarray([w for _, w in items], dtype=np.float32),
     )
     return ReferenceOutcome(out, touched, kinds.count("add"),

@@ -14,7 +14,10 @@ statements below, swapped in for the duration of a ``with`` block:
   so it relies neither on the entries' slots nor on vectorised masking —
   followed by a full per-table ``hashtableClear``;
 * :func:`no_arena` builds both engines without a workspace arena, so
-  every kernel runs the same arithmetic on freshly allocated buffers.
+  every kernel runs the same arithmetic on freshly allocated buffers;
+* :func:`engine_layouts` records the offsets/targets dtypes of every
+  graph ``nu_lpa`` builds an engine on, so a differential run can prove
+  its reference side really ran wide (graphs are stored compact).
 
 Run from the repository root with ``PYTHONPATH=src:.`` to import this
 module outside pytest.
@@ -27,7 +30,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.core import engine_hashtable, engine_vectorized
+from repro.core import engine_hashtable, engine_vectorized, lpa
 from repro.errors import HashtableFullError
 from repro.hashing.hashtable import MAX_RETRIES
 from repro.hashing.parallel_hashtable import WaveAccumulateResult
@@ -35,6 +38,7 @@ from repro.hashing.probing import ProbeStrategy
 from repro.types import EMPTY_KEY
 
 __all__ = [
+    "engine_layouts",
     "literal_accumulate",
     "literal_max_key",
     "no_arena",
@@ -205,3 +209,18 @@ def no_arena():
     with mock.patch.object(engine_hashtable, "WorkspaceArena", lambda: None), \
             mock.patch.object(engine_vectorized, "WorkspaceArena", lambda: None):
         yield
+
+
+@contextmanager
+def engine_layouts():
+    """Yield a list that collects ``(offsets.dtype, targets.dtype)`` of the
+    graph each ``nu_lpa`` run inside the block builds its engine on."""
+    layouts = []
+    make_engine = lpa.make_engine
+
+    def recording(graph, config, engine):
+        layouts.append((graph.offsets.dtype, graph.targets.dtype))
+        return make_engine(graph, config, engine)
+
+    with mock.patch.object(lpa, "make_engine", recording):
+        yield layouts
