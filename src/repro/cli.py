@@ -18,9 +18,7 @@ Commands
     (admission control, retries, circuit breakers, degradation ladder,
     crash-recovering journal) and emit a health-stats JSON.  With
     ``--snapshot-dir`` every completed job (and every streaming epoch)
-    publishes a versioned, CRC-checked label snapshot for the read path;
-    ``--wave-batching`` coalesces compatible queued jobs into shared
-    waves on the modelled GPU clock.
+    publishes a versioned, CRC-checked label snapshot for the read path.
 ``query``
     Serve reads from a snapshot directory published by ``serve``:
     membership of a vertex, roster of a community, community sizes, and
@@ -80,7 +78,7 @@ from repro.hashing.probing import ProbeStrategy
 from repro.metrics import modularity, summarize_communities
 from repro.resilience.faults import FAULT_KINDS, FaultSpec
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 
 def _load(args) -> CSRGraph:
@@ -219,9 +217,7 @@ def _detect_body(args, token: _SignalToken) -> int:
         pl_period=args.pl_period if args.pl_period > 0 else None,
         probing=ProbeStrategy(args.probing),
         switch_degree=args.switch_degree,
-        persistent_kernel=args.persistent_kernel,
         compact_layout=not args.no_compact_layout,
-        degree_renumber=args.degree_renumber,
         memory_budget_bytes=args.memory_budget,
         reserved_memory_fraction=args.reserved_memory_fraction,
     )
@@ -551,8 +547,6 @@ def _cmd_serve(args) -> int:
         default_deadline_s=args.default_deadline,
         snapshot_dir=args.snapshot_dir,
         snapshot_keep=args.snapshot_keep,
-        wave_batching=args.wave_batching,
-        batch_max_jobs=args.batch_max_jobs,
         memory_budget_bytes=args.memory_budget,
         reserved_memory_fraction=args.reserved_memory_fraction,
     )
@@ -606,12 +600,6 @@ def _cmd_serve(args) -> int:
         f"{b['engine']}={b['state']}" for b in stats["breakers"]))
     print(f"latency:     p50 {stats['latency']['p50_modeled_s']:.4f}s "
           f"p95 {stats['latency']['p95_modeled_s']:.4f}s (modelled)")
-    batching = stats["batching"]
-    if batching["enabled"]:
-        print(f"batching:    {batching['batched_jobs']} jobs in "
-              f"{batching['batches']} wave(s), "
-              f"{batching['launch_seconds_saved']:.4f}s launch overhead "
-              f"saved")
     memory = stats["memory"]
     if memory["enabled"]:
         print(f"memory:      high-water {memory['high_water_bytes']:,} B "
@@ -723,7 +711,8 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: one subcommand per command above."""
     parser = argparse.ArgumentParser(
         prog="repro", description="nu-LPA reproduction toolkit"
     )
@@ -740,15 +729,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--probing", default="quadratic-double",
                    choices=[s.value for s in ProbeStrategy])
     p.add_argument("--switch-degree", type=int, default=32)
-    p.add_argument("--persistent-kernel", action="store_true",
-                   help="model grid-resident kernels: only the first launch "
-                        "of each kernel kind pays launch overhead")
     p.add_argument("--no-compact-layout", action="store_true",
                    help="keep 64-bit offsets/targets/labels even when the "
                         "graph fits 32-bit indices")
-    p.add_argument("--degree-renumber", action="store_true",
-                   help="renumber vertices by ascending degree before the "
-                        "run (labels are mapped back to input ids)")
     p.add_argument("--output", type=Path, help="write labels to this file")
     p.add_argument("--profile", action="store_true",
                    help="print a per-kernel/per-iteration profile of the run")
@@ -862,12 +845,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--snapshot-keep", type=int, default=None, metavar="N",
                    help="retain only the newest N snapshot versions per "
                         "job (default: keep all)")
-    p.add_argument("--wave-batching", action="store_true",
-                   help="coalesce compatible queued jobs into shared "
-                        "waves, amortising modelled kernel-launch overhead "
-                        "(per-job labels stay bit-identical)")
-    p.add_argument("--batch-max-jobs", type=int, default=8, metavar="N",
-                   help="cap on jobs sharing one wave (default 8)")
     p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
                    help="modelled device-memory budget for admission "
                         "control: oversized jobs are rejected with a typed "
@@ -960,8 +937,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--json", action="store_true",
                    help="print the machine-readable IntegrityReport")
     p.set_defaults(func=_cmd_fsck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CheckpointCorruptError as exc:

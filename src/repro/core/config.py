@@ -71,13 +71,6 @@ class LPAConfig:
         vertices in per-SM shared memory instead of the global buffers.
         The paper tried this and "saw little to no performance gain"
         (ablation A3); off by default, like the paper's final design.
-    persistent_kernel:
-        Model a persistent (mega-)kernel: each kernel kind pays its
-        launch overhead once per run instead of once per iteration, and
-        subsequent dispatches are traced as
-        :class:`~repro.observe.trace.PersistentKernelEvent` wave batches
-        instead of :class:`~repro.observe.trace.KernelLaunchEvent`.
-        Only the launch accounting changes — labels stay bit-identical.
     compact_layout:
         Run on 32-bit ids when the graph fits: int32 CSR offsets/targets
         and int32 labels whenever ``num_vertices`` and ``num_edges`` are
@@ -89,13 +82,6 @@ class LPAConfig:
         with_wide_layout`) with int64 labels.  Results are bit-identical
         either way because every id fits both widths.  Graphs too large
         for 32 bits always run wide.
-    degree_renumber:
-        Renumber vertices in ascending-degree order before running
-        (better coalescing for the block-per-vertex kernel model) and
-        un-permute the labels on output.  The relabelled run visits
-        vertices in a different order, so labels are a *renaming* of a
-        valid convergent partition rather than bit-identical to the
-        default path.
     device:
         Simulated device (default A100).
     memory_budget_bytes:
@@ -124,9 +110,7 @@ class LPAConfig:
     value_dtype: type = VALUE_DTYPE_F32
     pruning: bool = True
     shared_memory_tables: bool = False
-    persistent_kernel: bool = False
     compact_layout: bool = True
-    degree_renumber: bool = False
     device: DeviceSpec = field(default=A100)
     memory_budget_bytes: int | None = None
     reserved_memory_fraction: float = 0.0

@@ -34,7 +34,6 @@ from repro.gpu.scheduler import plan_waves
 from repro.graph.csr import CSRGraph
 from repro.observe.trace import (
     KernelLaunchEvent,
-    PersistentKernelEvent,
     WaveEvent,
     counter_delta,
 )
@@ -108,9 +107,6 @@ class HashtableEngine:
         self.tables = PerVertexHashtables(
             graph, value_dtype=config.value_dtype, strategy=config.probing
         )
-        # Persistent-kernel mode: kinds whose one-time launch cost has
-        # been paid (each kernel stays resident after its first launch).
-        self._launched: set[KernelKind] = set()
         self.memory = MemoryModel(config.device)
         # Shared-memory table eligibility (paper's rejected optimisation):
         # a thread-kernel vertex's table fits when its 2*D slots fit in the
@@ -249,18 +245,11 @@ class HashtableEngine:
             vertices = partition.for_kind(kind)
             if vertices.shape[0] == 0:
                 continue
-            # Persistent-kernel mode: after a kind's first launch the
-            # kernel stays resident, so later dispatches cost waves but
-            # no launch (and trace as their own event kind).
-            persistent = self.config.persistent_kernel and kind in self._launched
-            if not persistent:
-                counters.launches += 1
-                self._launched.add(kind)
+            counters.launches += 1
             plan = plan_waves(self.config.device, kind, vertices.shape[0])
             counters.waves += plan.num_waves
             if tracing:
-                event_cls = PersistentKernelEvent if persistent else KernelLaunchEvent
-                tracer.emit(event_cls(
+                tracer.emit(KernelLaunchEvent(
                     iteration=iteration,
                     kernel=kind.value,
                     num_items=int(vertices.shape[0]),

@@ -39,7 +39,6 @@ from repro.gpu.scheduler import plan_waves
 from repro.graph.csr import CSRGraph
 from repro.observe.trace import (
     KernelLaunchEvent,
-    PersistentKernelEvent,
     WaveEvent,
     counter_delta,
 )
@@ -402,10 +401,6 @@ class VectorizedEngine:
         # Loop-free graphs (the common case; checked once, cached on the
         # graph) skip the per-wave self-loop filter entirely.
         self._loop_free = not graph.has_self_loops
-        # Kernels that have already been launched once, for persistent-kernel
-        # mode (config.persistent_kernel): later dispatches of the same kind
-        # are grid-resident and don't count as launches.
-        self._launched: set[KernelKind] = set()
 
     def release_memory(self) -> int:
         """Return every ledger charge this engine owns (arena only).
@@ -457,15 +452,11 @@ class VectorizedEngine:
             vertices = partition.for_kind(kind)
             if vertices.shape[0] == 0:
                 continue
-            persistent = self.config.persistent_kernel and kind in self._launched
-            if not persistent:
-                counters.launches += 1
-                self._launched.add(kind)
+            counters.launches += 1
             plan = plan_waves(self.config.device, kind, vertices.shape[0])
             counters.waves += plan.num_waves
             if tracing:
-                event_cls = PersistentKernelEvent if persistent else KernelLaunchEvent
-                tracer.emit(event_cls(
+                tracer.emit(KernelLaunchEvent(
                     iteration=iteration,
                     kernel=kind.value,
                     num_items=int(vertices.shape[0]),

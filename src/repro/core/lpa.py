@@ -202,8 +202,17 @@ def nu_lpa(
         tracer=Tracer() if profile and tracer is None else tracer,
         validate=validate, budget=budget, cancel=cancel,
     )
-    _iterate(run)
-    return _finalize(run, warn_on_no_convergence=warn_on_no_convergence, profile=profile)
+    try:
+        _iterate(run)
+        return _finalize(run, warn_on_no_convergence=warn_on_no_convergence, profile=profile)
+    finally:
+        # The boundary steps close over ``run``, and a supervisor's wave
+        # hook is bound to the supervisor that holds the engine: dropping
+        # both breaks those cycles, so the engine, its arena and the
+        # frontier are freed when this call returns instead of at some
+        # later cyclic collection.
+        run.boundary = ()
+        run.eng.fault_hook = None
 
 
 # --------------------------------------------------------------------- #
@@ -225,8 +234,6 @@ class _Run:
     tracer: Tracer | None = None
     tracing: bool = False
     validation: object = None
-    #: ``degree_renumber``: new vertex ``k`` is the caller's ``perm[k]``.
-    perm: np.ndarray | None = None
     governor: MemoryGovernor | None = None
     #: Construction-time ledger charges, by region, in reservation order.
     charges: dict = field(default_factory=dict)
@@ -262,18 +269,6 @@ def _prepare(
     run.tracing = tracer is not None and tracer.enabled
     if validate is not None:
         graph, run.validation = validate_graph(graph, validate)
-
-    if config.degree_renumber and graph.num_vertices:
-        # Renumbering vertices by ascending degree makes each wave's
-        # adjacency gathers walk near-contiguous CSR ranges.  Caller-
-        # supplied label values are opaque (they need not be vertex ids),
-        # so there is no faithful way to renumber them.
-        if initial_labels is not None:
-            raise ConfigurationError(
-                "degree_renumber cannot be combined with initial_labels: "
-                "custom label values are opaque and cannot be renumbered"
-            )
-        graph, run.perm = graph.sorted_by_degree()
 
     # Built graphs are already stored with 32-bit offsets/targets when
     # they fit, so the compact run takes the caller's graph as is; a wide
@@ -395,17 +390,13 @@ def _initial_labels(n: int, initial_labels, compact: bool) -> np.ndarray:
 
 
 def _initial_frontier(run: _Run, initial_active) -> Frontier:
-    """The pruning frontier, seeded with ``initial_active`` (caller ids)."""
+    """The pruning frontier, seeded with ``initial_active``."""
     frontier = Frontier(run.graph, enabled=run.config.pruning, arena=run.eng.arena)
     if initial_active is not None:
         n = run.graph.num_vertices
         active = np.asarray(initial_active, dtype=np.int64)
         if active.shape[0] and (active.min() < 0 or active.max() >= n):
             raise ConfigurationError("initial_active vertex id out of range")
-        if run.perm is not None:
-            inverse = np.empty(n, dtype=np.int64)
-            inverse[run.perm] = np.arange(n, dtype=np.int64)
-            active = inverse[active]
         frontier.flags[:] = 0
         frontier.flags[active] = 1
     return frontier
@@ -463,7 +454,7 @@ def _iterate(run: _Run) -> None:
 
 
 def _finalize(run: _Run, *, warn_on_no_convergence: bool, profile: bool) -> LPAResult:
-    """Stage 3: warn, widen and un-renumber the labels, release the ledger."""
+    """Stage 3: warn, widen the labels, release the ledger."""
     config, iterations = run.config, run.iterations
     n = run.graph.num_vertices
     if not run.converged and run.degraded_reason is None:
@@ -492,14 +483,6 @@ def _finalize(run: _Run, *, warn_on_no_convergence: bool, profile: bool) -> LPAR
     # Compact-layout runs compute in int32; the public result is always
     # the canonical wide dtype.
     labels = run.labels.astype(VERTEX_DTYPE, copy=False)
-    if run.perm is not None:
-        # New vertex k is old vertex perm[k]; a label is itself a (new)
-        # vertex id, so both the positions and the values map through
-        # perm — the partition equals a non-renumbered run's only up to
-        # this renaming (documented on the flag).
-        restored = np.empty(n, dtype=VERTEX_DTYPE)
-        restored[run.perm] = run.perm[labels]
-        labels = restored
     memory_stats: dict | None = None
     if run.governor is not None:
         # Return every region to the ledger before snapshotting the

@@ -377,63 +377,3 @@ class CSRGraph:
         )
         graph._has_self_loops = self._has_self_loops
         return graph
-
-    def sorted_by_degree(self) -> tuple["CSRGraph", np.ndarray]:
-        """Return a copy whose vertices are renumbered by ascending degree.
-
-        Returns the permuted graph and the permutation ``perm`` such that new
-        vertex ``k`` is old vertex ``perm[k]``.  Used by the two-kernel
-        partitioner, which wants low-degree vertices contiguous, and by the
-        driver's ``degree_renumber`` mode.
-
-        Vectorised: every arc's destination position is its row's new start
-        plus its within-row rank, both computable with gathers off the old
-        CSR — no per-vertex Python loop.  (The loop implementation survives
-        as :meth:`_sorted_by_degree_reference`, the differential oracle.)
-        """
-        n = self.num_vertices
-        perm = np.argsort(self._degrees, kind="stable").astype(VERTEX_DTYPE)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(n, dtype=VERTEX_DTYPE)
-
-        new_offsets = np.zeros(n + 1, dtype=self._offsets.dtype)
-        np.cumsum(self._degrees[perm], out=new_offsets[1:])
-
-        m = self.num_edges
-        new_targets = np.empty_like(self._targets)
-        new_weights = np.empty_like(self._weights)
-        if m:
-            src = self.source_ids()
-            # dest = new_row_start[new id of src] + within-row rank
-            dest = new_offsets[inverse[src]].astype(np.int64)
-            dest += np.arange(m, dtype=np.int64)
-            dest -= self._offsets[src]
-            new_targets[dest] = inverse[self._targets]
-            new_weights[dest] = self._weights
-        return (
-            CSRGraph(new_offsets, new_targets, new_weights, validate=False),
-            perm,
-        )
-
-    def _sorted_by_degree_reference(self) -> tuple["CSRGraph", np.ndarray]:
-        """Loop-based :meth:`sorted_by_degree`; differential-test oracle."""
-        perm = np.argsort(self._degrees, kind="stable").astype(VERTEX_DTYPE)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(self.num_vertices, dtype=VERTEX_DTYPE)
-
-        new_degrees = self._degrees[perm]
-        new_offsets = np.zeros(self.num_vertices + 1, dtype=self._offsets.dtype)
-        np.cumsum(new_degrees, out=new_offsets[1:])
-
-        new_targets = np.empty_like(self._targets)
-        new_weights = np.empty_like(self._weights)
-        for new_id in range(self.num_vertices):
-            old_id = perm[new_id]
-            lo, hi = self._offsets[old_id], self._offsets[old_id + 1]
-            nlo = new_offsets[new_id]
-            new_targets[nlo : nlo + (hi - lo)] = inverse[self._targets[lo:hi]]
-            new_weights[nlo : nlo + (hi - lo)] = self._weights[lo:hi]
-        return (
-            CSRGraph(new_offsets, new_targets, new_weights, validate=False),
-            perm,
-        )

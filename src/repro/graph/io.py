@@ -158,6 +158,26 @@ def _vertex_ids(
 # --------------------------------------------------------------------- #
 
 
+def _malformed_row(rows: list[str], ncols: int) -> tuple[int, str] | None:
+    """The first data row ``np.loadtxt`` cannot parse, and why.
+
+    Indexes ``rows`` (data rows, comment lines already dropped), so the
+    caller maps it to a file line; ``np.loadtxt``'s own ``at row R``
+    counts those data rows and is 0- or 1-based depending on the error.
+    Text after ``#`` is dropped, as ``np.loadtxt`` does.
+    """
+    for idx, row in enumerate(rows):
+        tokens = row.split("#", 1)[0].split()
+        if len(tokens) < ncols:
+            return idx, f"{len(tokens)} column(s), expected {ncols}"
+        for token in tokens[:ncols]:
+            try:
+                float(token)
+            except ValueError:
+                return idx, f"could not convert {token!r} to a number"
+    return None
+
+
 def read_edgelist(
     path: str | Path,
     *,
@@ -201,7 +221,13 @@ def read_edgelist(
             ndmin=2,
         )
     except ValueError as exc:
-        raise GraphFormatError(f"malformed edge list {path}: {exc}") from exc
+        where = _malformed_row(rows, ncols)
+        if where is None:
+            raise GraphFormatError(f"malformed edge list {path}: {exc}") from exc
+        idx, reason = where
+        raise GraphFormatError(
+            f"{path}: malformed edge list on line {row_linenos[idx]}: {reason}"
+        ) from exc
 
     linenos = np.asarray(row_linenos, dtype=np.int64)
     src = _vertex_ids(data[:, 0], linenos, path)

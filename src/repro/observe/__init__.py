@@ -36,7 +36,6 @@ from repro.observe.trace import (
     ServiceStatsEvent,
     Tracer,
     TraceEvent,
-    WaveBatchEvent,
     WaveEvent,
     counter_delta,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "BreakerEvent",
     "ServiceStatsEvent",
     "EpochEvent",
-    "WaveBatchEvent",
     "QueryEvent",
     "QueryStatsEvent",
     "counter_delta",

@@ -217,11 +217,6 @@ def _kernel_profiles(tracer: Tracer, platform: GpuPlatform) -> tuple[KernelProfi
     for ev in tracer.of_kind("kernel_launch"):
         launches[ev.kernel] = launches.get(ev.kernel, 0) + 1
         waves[ev.kernel] = waves.get(ev.kernel, 0) + ev.num_waves
-    # Persistent-kernel dispatches (after the first launch of a kind) are
-    # grid-resident: they cost waves but no launch overhead.
-    for ev in tracer.of_kind("persistent_kernel"):
-        launches.setdefault(ev.kernel, 0)
-        waves[ev.kernel] = waves.get(ev.kernel, 0) + ev.num_waves
     for ev in tracer.of_kind("wave"):
         acc = counters.setdefault(ev.kernel, KernelCounters())
         acc += KernelCounters(**ev.counters)

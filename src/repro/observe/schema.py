@@ -87,9 +87,10 @@ BENCH_SCHEMA_VERSION = 3
 #: DetectionService` health snapshot (``service.stats()`` / ``repro serve
 #: --stats-out``).  v2 adds the required ``batching`` section; v3 the
 #: required ``memory`` section (device-memory admission); v4 the required
-#: ``subscriptions`` section (resident stream processors).
+#: ``subscriptions`` section (resident stream processors); v5 drops the
+#: ``batching`` section (the service runs one job per step).
 SERVICE_SCHEMA = "repro.observe/service"
-SERVICE_SCHEMA_VERSION = 4
+SERVICE_SCHEMA_VERSION = 5
 
 #: ``repro.observe/query-bench`` — the read-path latency report written
 #: by ``benchmarks/bench_query.py``; ``BENCH_query.json`` at the repo root
@@ -212,14 +213,13 @@ def _walk_list(doc: list, rule: dict, path: str) -> None:
 # --------------------------------------------------------------------- #
 
 
-def _at_most(small: str, big: str, factor: int = 1):
-    """``factor * obj[small] <= obj[big]``."""
+def _at_most(small: str, big: str):
+    """``obj[small] <= obj[big]``."""
 
     def check(obj: dict, path: str) -> None:
-        if factor * obj[small] > obj[big]:
-            scaled = small if factor == 1 else f"{factor} x {small}"
+        if obj[small] > obj[big]:
             _fail(f"{path}.{small}",
-                  f"{scaled} ({obj[small]}) exceeds {big} ({obj[big]})")
+                  f"{small} ({obj[small]}) exceeds {big} ({obj[big]})")
 
     return check
 
@@ -418,16 +418,6 @@ SERVICE_SPEC = _obj({
         _at_most("p50_modeled_s", "p95_modeled_s"),
     ),
     "totals": _obj({"modeled_seconds": _SECONDS, "wall_spent_s": _SECONDS}),
-    "batching": _obj(
-        {
-            "enabled": bool,
-            "batches": _COUNT,
-            "batched_jobs": _COUNT,
-            "launch_seconds_saved": _SECONDS,
-        },
-        # A batch coalesces at least two jobs.
-        _at_most("batches", "batched_jobs", factor=2),
-    ),
     "memory": _obj(
         {
             "enabled": bool,

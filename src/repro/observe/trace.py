@@ -21,7 +21,6 @@ from typing import Iterator
 __all__ = [
     "TraceEvent",
     "KernelLaunchEvent",
-    "PersistentKernelEvent",
     "WaveEvent",
     "IterationEvent",
     "FaultRungEvent",
@@ -31,7 +30,6 @@ __all__ = [
     "BreakerEvent",
     "ServiceStatsEvent",
     "EpochEvent",
-    "WaveBatchEvent",
     "QueryEvent",
     "QueryStatsEvent",
     "ScrubEvent",
@@ -70,24 +68,6 @@ class KernelLaunchEvent(TraceEvent):
     num_waves: int
 
     kind = "kernel_launch"
-
-
-@dataclass(frozen=True)
-class PersistentKernelEvent(TraceEvent):
-    """A dispatch into an already-resident kernel (persistent mode).
-
-    With :attr:`~repro.core.config.LPAConfig.persistent_kernel` on, each
-    kernel kind pays its launch overhead once — the first dispatch emits
-    a :class:`KernelLaunchEvent` as usual; every later one emits this
-    event instead.  Fields mirror the launch event so profile aggregation
-    can count waves (which are still paid) without counting a launch.
-    """
-
-    kernel: str
-    num_items: int
-    num_waves: int
-
-    kind = "persistent_kernel"
 
 
 @dataclass(frozen=True)
@@ -264,31 +244,6 @@ class EpochEvent(TraceEvent):
     modularity_gap: float | None = None
 
     kind = "epoch"
-
-
-@dataclass(frozen=True)
-class WaveBatchEvent(TraceEvent):
-    """One shared execution wave of compatible service jobs.
-
-    ``iteration`` carries the batch sequence number.  Per-job attribution
-    is preserved: ``job_ids`` and ``per_job_saved_s`` are parallel tuples,
-    so a trace can reconstruct exactly which job was credited what share
-    of the amortised launch overhead.
-    """
-
-    #: Jobs coalesced into this wave, in execution order.
-    job_ids: tuple[str, ...]
-    #: Kernel launches the jobs would have paid run sequentially.
-    launches_sequential: int
-    #: Kernel launches after coalescing (per iteration slot, the widest
-    #: member launches; the others ride along).
-    launches_batched: int
-    #: Modelled launch-overhead seconds amortised away, total…
-    saved_seconds: float
-    #: …and attributed per job (parallel to ``job_ids``).
-    per_job_saved_s: tuple[float, ...] = ()
-
-    kind = "wave_batch"
 
 
 @dataclass(frozen=True)

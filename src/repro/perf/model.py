@@ -103,12 +103,8 @@ def estimate_gpu_seconds(
 ) -> float:
     """Modelled ν-LPA runtime from (possibly scaled) kernel counters.
 
-    Launch overhead is charged per ``counters.launches``.  Under
-    persistent-kernel mode (:attr:`~repro.core.config.LPAConfig.
-    persistent_kernel`) the engines count only the *first* launch of each
-    kernel kind — later dispatches are grid-resident and appear here only
-    through their ``waves`` term, which is how the amortisation shows up
-    in the model.
+    Launch overhead is charged per ``counters.launches`` (one per
+    degree-class dispatch), wave overhead per ``counters.waves``.
     """
     bandwidth_time = (
         counters.bytes_moved(platform.sector_bytes) / platform.effective_bandwidth

@@ -79,10 +79,7 @@ _SUFFIX = ".npz"
 
 
 def run_digest(graph: CSRGraph, config: LPAConfig, engine: str) -> str:
-    """Fingerprint of everything that must match for a resume to be valid.
-
-    ``degree_renumber`` (a permuted vertex space) counts only when set, so
-    default runs keep their digests."""
+    """Fingerprint of everything that must match for a resume to be valid."""
     parts = [
         graph.num_vertices,
         graph.num_edges,
@@ -96,8 +93,6 @@ def run_digest(graph: CSRGraph, config: LPAConfig, engine: str) -> str:
         config.pruning,
         config.shared_memory_tables,
     ]
-    if config.degree_renumber:
-        parts.append("degree_renumber")
     payload = "|".join(str(part) for part in parts)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -13,8 +13,6 @@ Public surface::
         run_service_soak, ServiceSoakOutcome,  # kill/restart soak
         SnapshotCatalog, Snapshot,             # query read path
         QueryEngine, SnapshotDiff, diff_snapshots,
-        batch_key, amortize_launches,          # wave batching
-        BatchSavings,
     )
 
 Modules import lazily (PEP 562) so ``import repro`` stays light.
@@ -47,9 +45,6 @@ _EXPORTS = {
     "diff_snapshots": "repro.service.read",
     "write_snapshot": "repro.service.read",
     "read_header": "repro.service.read",
-    "batch_key": "repro.service.batch",
-    "amortize_launches": "repro.service.batch",
-    "BatchSavings": "repro.service.batch",
 }
 
 __all__ = sorted(_EXPORTS)

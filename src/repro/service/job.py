@@ -275,10 +275,6 @@ class JobOutcome:
     #: accounted in the record's totals, not here).
     modeled_seconds: float = 0.0
     wall_seconds: float = 0.0
-    #: Kernel launches per LPA iteration of the producing run (transient,
-    #: not journaled — it only feeds wave-batching amortisation in the
-    #: scheduling step that completed the job).
-    iteration_launches: tuple = ()
 
     @property
     def degraded(self) -> bool:

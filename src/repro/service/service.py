@@ -61,10 +61,8 @@ from repro.observe.trace import (
     JobEvent,
     ServiceStatsEvent,
     Tracer,
-    WaveBatchEvent,
 )
 from repro.service.backoff import BackoffPolicy, is_retryable
-from repro.service.batch import amortize_launches, batch_key
 from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.job import (
     GraphRef,
@@ -191,18 +189,6 @@ class ServiceConfig:
         query``) serves from here.  ``None`` disables publishing.
     snapshot_keep:
         Per-job snapshot retention ring (``None`` keeps every version).
-    wave_batching:
-        Coalesce compatible in-flight ``detect`` jobs (same engine /
-        config class, see :func:`~repro.service.batch.batch_key`) into
-        shared execution waves on the modelled GPU clock, amortising
-        kernel-launch overhead across the batch.  Labels are bit-identical
-        to unbatched runs — batching only changes scheduling/pricing; the
-        per-job share of the saved launch overhead is attributed in each
-        outcome and traced via
-        :class:`~repro.observe.trace.WaveBatchEvent`.
-    batch_max_jobs:
-        Upper bound on jobs per shared wave (also bounded by ``workers``:
-        only concurrently scheduled jobs can share a wave).
     memory_budget_bytes:
         Modelled device-memory budget for admission control (see
         docs/service.md).  When set, every submission is checked against
@@ -242,8 +228,6 @@ class ServiceConfig:
     stream_differential_every: int = 0
     snapshot_dir: str | Path | None = None
     snapshot_keep: int | None = None
-    wave_batching: bool = False
-    batch_max_jobs: int = 8
     memory_budget_bytes: int | None = None
     reserved_memory_fraction: float = 0.0
 
@@ -257,10 +241,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"reserved_memory_fraction must be in [0, 1); "
                 f"got {self.reserved_memory_fraction}"
-            )
-        if self.batch_max_jobs < 2:
-            raise ConfigurationError(
-                f"batch_max_jobs must be >= 2; got {self.batch_max_jobs}"
             )
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1; got {self.workers}")
@@ -356,8 +336,6 @@ class DetectionService:
             "retries": 0,
             "reroutes": 0,
             "recovered": 0,
-            "batches": 0,
-            "batched_jobs": 0,
             "memory_rejected": 0,
             "memory_serialized": 0,
             "memory_degraded": 0,
@@ -370,10 +348,6 @@ class DetectionService:
         #: instead of rescanning the whole job table.
         self._latency_sum = 0.0
         self._latency_count = 0
-        #: Modelled launch-overhead seconds amortised away by wave batching.
-        self.launch_seconds_saved = 0.0
-        #: Jobs the most recent :meth:`step` executed (batch size).
-        self.last_step_jobs = 0
         self.rung_counts = {rung: 0 for rung in RUNGS}
         if self.journal is not None and recover:
             self._recover()
@@ -464,23 +438,13 @@ class DetectionService:
     # ------------------------------------------------------------------ #
 
     def step(self) -> JobRecord | None:
-        """Run the next scheduled job to completion; ``None`` when idle.
-
-        With :attr:`ServiceConfig.wave_batching` enabled, one step may
-        execute a whole shared wave of compatible in-flight jobs (see
-        :attr:`last_step_jobs` for how many it was).
-        """
+        """Run the next scheduled job to completion; ``None`` when idle."""
         self._fill_workers()
         if not self._running:
-            self.last_step_jobs = 0
             return None
-        batch = self._claim_batch()
-        self.last_step_jobs = len(batch)
-        if len(batch) > 1:
-            self._execute_wave(batch)
-        else:
-            self._execute(batch[0])
-        return batch[0]
+        record = self._running.popleft()
+        self._execute(record)
+        return record
 
     def drain(self, max_jobs: int | None = None) -> int:
         """Run jobs until the queue is empty (or ``max_jobs`` done).
@@ -495,7 +459,7 @@ class DetectionService:
             record = self.step()
             if record is None:
                 break
-            done += self.last_step_jobs
+            done += 1
         return done
 
     def request_stop(self) -> None:
@@ -535,88 +499,6 @@ class DetectionService:
         inflight = self._memory_inflight()
         if inflight > self._memory_inflight_high:
             self._memory_inflight_high = inflight
-
-    # ------------------------------------------------------------------ #
-    # Wave batching
-    # ------------------------------------------------------------------ #
-
-    def _claim_batch(self) -> list[JobRecord]:
-        """Pop the next job plus every compatible in-flight companion.
-
-        Compatibility is :func:`~repro.service.batch.batch_key` equality;
-        non-members keep their relative order in the running set.  With
-        batching disabled this is just ``popleft``.
-        """
-        record = self._running.popleft()
-        if not self.config.wave_batching:
-            return [record]
-        key = batch_key(record.spec)
-        if key is None:
-            return [record]
-        batch = [record]
-        passed_over: deque[JobRecord] = deque()
-        while self._running and len(batch) < self.config.batch_max_jobs:
-            candidate = self._running.popleft()
-            if batch_key(candidate.spec) == key:
-                batch.append(candidate)
-            else:
-                passed_over.append(candidate)
-        passed_over.extend(self._running)
-        self._running = passed_over
-        return batch
-
-    def _execute_wave(self, batch: list[JobRecord]) -> None:
-        """Execute one shared wave, then amortise its launch overhead.
-
-        Each member runs through the normal :meth:`_execute` path — same
-        engine calls, same labels, same journal protocol as an unbatched
-        run — so batching can never change *what* a job computes, only
-        what the modelled clock charges it.
-        """
-        for record in batch:
-            self._execute(record)
-        self._amortize_wave(batch)
-
-    def _amortize_wave(self, batch: list[JobRecord]) -> None:
-        eligible = [
-            r for r in batch
-            if r.state is JobState.COMPLETED
-            and r.outcome is not None
-            and r.outcome.rung == "full"
-            and r.outcome.iteration_launches
-        ]
-        if len(eligible) < 2:
-            return
-        from repro.observe.profile import platform_for_device
-
-        platform = platform_for_device(self.config.lpa.device)
-        savings = amortize_launches(
-            [r.outcome.iteration_launches for r in eligible],
-            platform.launch_overhead,
-        )
-        if savings.saved_seconds <= 0.0:
-            return
-        # Re-price: the batch retires together at the amortised clock.
-        self.clock_s -= savings.saved_seconds
-        for record, saved in zip(eligible, savings.per_job_saved_s):
-            self._untrack_latency(record.latency_s)
-            record.outcome.modeled_seconds -= saved
-            record.gpu_spent_s -= saved
-            record.finished_clock_s = self.clock_s
-            self._track_latency(record.latency_s)
-            if self.journal is not None:
-                self.journal.record(record)
-        self.counters["batches"] += 1
-        self.counters["batched_jobs"] += len(eligible)
-        self.launch_seconds_saved += savings.saved_seconds
-        self.tracer.emit(WaveBatchEvent(
-            iteration=self.counters["batches"],
-            job_ids=tuple(r.job_id for r in eligible),
-            launches_sequential=savings.launches_sequential,
-            launches_batched=savings.launches_batched,
-            saved_seconds=savings.saved_seconds,
-            per_job_saved_s=savings.per_job_saved_s,
-        ))
 
     # ------------------------------------------------------------------ #
     # The per-job degradation ladder
@@ -1003,9 +885,6 @@ class DetectionService:
             stop_detail=stop_detail,
             modeled_seconds=gpu,
             wall_seconds=wall,
-            iteration_launches=tuple(
-                int(it.counters.launches) for it in result.iterations
-            ),
         )
 
     def _attempt_failed(self, record, engine, exc, t0) -> None:
@@ -1235,12 +1114,6 @@ class DetectionService:
                 "degraded": degraded,
             },
             "rungs": dict(self.rung_counts),
-            "batching": {
-                "enabled": self.config.wave_batching,
-                "batches": self.counters["batches"],
-                "batched_jobs": self.counters["batched_jobs"],
-                "launch_seconds_saved": self.launch_seconds_saved,
-            },
             "memory": {
                 "enabled": self.config.memory_budget_bytes is not None,
                 "budget_bytes": self.memory_budget() or 0,
@@ -1455,12 +1328,6 @@ class DetectionService:
         if latency_s > 0:
             self._latency_sum += latency_s
             self._latency_count += 1
-
-    def _untrack_latency(self, latency_s: float) -> None:
-        """Remove a latency contribution (wave batching re-prices jobs)."""
-        if latency_s > 0:
-            self._latency_sum -= latency_s
-            self._latency_count -= 1
 
     def _chaos(self, point: str, record: JobRecord) -> None:
         hook = self.config.chaos_hook

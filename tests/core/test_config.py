@@ -88,3 +88,70 @@ class TestVariants:
         c = LPAConfig().with_(tolerance=0.1)
         assert c.tolerance == 0.1
         assert c.pl_period == 4  # untouched
+
+
+class TestOptionSurface:
+    """Every option is a configuration that must be tested: adding or
+    removing one has to show up as an edit here."""
+
+    @staticmethod
+    def _flags(command):
+        import argparse
+
+        from repro.cli import build_parser
+
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        return {o for a in sub.choices[command]._actions for o in a.option_strings}
+
+    def test_fields_and_flags_are_pinned(self):
+        from dataclasses import fields
+
+        from repro.service import ServiceConfig
+
+        assert [f.name for f in fields(LPAConfig)] == [
+            "max_iterations", "tolerance", "pl_period", "cc_period",
+            "switch_degree", "probing", "value_dtype", "pruning",
+            "shared_memory_tables", "compact_layout", "device",
+            "memory_budget_bytes", "reserved_memory_fraction",
+        ]
+        assert [f.name for f in fields(ServiceConfig)] == [
+            "workers", "queue_capacity", "tenant_inflight", "max_attempts",
+            "backoff", "breaker", "breaker_enabled", "lpa", "resilience",
+            "engine_faults", "journal_dir", "checkpoint_every",
+            "checkpoint_keep", "coarsen_target_fraction",
+            "default_deadline_s", "retry_after_base_s", "checkpoint_factory",
+            "chaos_hook", "stream_differential_every", "snapshot_dir",
+            "snapshot_keep", "memory_budget_bytes", "reserved_memory_fraction",
+        ]
+        assert self._flags("detect") == {
+            "-h", "--help", "--input", "--dataset", "--scale", "--seed",
+            "--validate", "--engine", "--max-iterations", "--tolerance",
+            "--pl-period", "--probing", "--switch-degree",
+            "--no-compact-layout", "--output", "--profile", "--trace-out",
+            "--checkpoint-dir", "--checkpoint-every", "--resume",
+            "--inject-faults", "--fault-rate", "--fault-seed",
+            "--fault-max-fires", "--deadline", "--iteration-budget",
+            "--gpu-budget", "--integrity", "--memory-budget",
+            "--reserved-memory-fraction",
+        }
+        assert self._flags("serve") == {
+            "-h", "--help", "--jobs", "--workers", "--queue-capacity",
+            "--tenant-inflight", "--max-attempts", "--seed", "--no-breaker",
+            "--journal", "--default-deadline", "--stats-out", "--trace-out",
+            "--snapshot-dir", "--snapshot-keep", "--memory-budget",
+            "--reserved-memory-fraction",
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--dataset", "asia_osm", "--persistent-kernel"],
+        ["serve", "--jobs", "jobs.json", "--wave-batching"],
+    ], ids=["persistent-kernel", "wave-batching"])
+    def test_removed_flags_are_usage_errors(self, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

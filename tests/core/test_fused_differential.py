@@ -11,12 +11,7 @@ None of the performance levers may change *what* is computed:
   :func:`tests.reference_sweep.literal_max_key` plus a full clear;
 * graphs are stored with 32-bit offsets/targets when they fit, and
   ``compact_layout=False`` runs a 64-bit copy (with 64-bit labels) —
-  same values, twice the bytes;
-* ``persistent_kernel`` only re-prices launches in the cost model — the
-  partition itself must be untouched;
-* ``degree_renumber`` is the one *documented* exception: labels are a
-  renaming of the input ids, so it is tested for validity and
-  determinism, not bitwise equality.
+  same values, twice the bytes.
 
 These tests pin that contract across both engines, every probing
 strategy, and arena on/off, and extend the steady-state ``tracemalloc``
@@ -32,7 +27,6 @@ import pytest
 from repro.core.config import LPAConfig
 from repro.core.lpa import make_engine, nu_lpa
 from repro.core.pruning import Frontier
-from repro.errors import ConfigurationError
 from repro.graph.generators import rmat_graph, watts_strogatz, web_graph
 from repro.hashing.probing import ProbeStrategy
 from repro.types import VERTEX_DTYPE
@@ -133,64 +127,6 @@ class TestCompactLayoutDifferential:
             warn_on_no_convergence=False,
         )
         assert result.labels.dtype == VERTEX_DTYPE
-
-
-class TestPersistentKernelDifferential:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_labels_identical_launches_amortised(self, small_web, engine):
-        on = _run(small_web, engine, persistent_kernel=True)
-        off = _run(small_web, engine, persistent_kernel=False)
-        assert np.array_equal(on.labels, off.labels)
-        on_c = on.total_counters
-        off_c = off.total_counters
-        # Same work, fewer launches: only the first launch per kind counts.
-        assert on_c.waves == off_c.waves
-        assert on_c.sectors_read == off_c.sectors_read
-        assert on_c.launches < off_c.launches
-
-        from repro.perf.model import estimate_gpu_seconds
-
-        assert estimate_gpu_seconds(on_c) < estimate_gpu_seconds(off_c)
-
-
-class TestDegreeRenumber:
-    def test_valid_partition_and_determinism(self, small_web):
-        a = _run(small_web, "hashtable", degree_renumber=True)
-        b = _run(small_web, "hashtable", degree_renumber=True)
-        assert np.array_equal(a.labels, b.labels)
-        assert a.labels.dtype == VERTEX_DTYPE
-        assert a.labels.min() >= 0
-        assert a.labels.max() < small_web.num_vertices
-        # The renaming must preserve community quality, not just validity.
-        from repro.metrics.modularity import modularity
-
-        base = _run(small_web, "hashtable")
-        q_renum = modularity(small_web, a.labels)
-        q_base = modularity(small_web, base.labels)
-        assert q_renum > 0.5 * q_base > 0
-
-    def test_result_reports_the_callers_config(self, small_web):
-        config = LPAConfig(degree_renumber=True)
-        assert nu_lpa(small_web, config).config == config
-
-    def test_rejects_initial_labels(self, small_web):
-        with pytest.raises(ConfigurationError):
-            nu_lpa(
-                small_web,
-                LPAConfig(degree_renumber=True),
-                initial_labels=np.zeros(small_web.num_vertices, VERTEX_DTYPE),
-            )
-
-    def test_initial_active_is_remapped(self, small_web):
-        active = np.zeros(small_web.num_vertices, dtype=bool)
-        active[: small_web.num_vertices // 4] = True
-        result = nu_lpa(
-            small_web,
-            LPAConfig(degree_renumber=True),
-            initial_active=active,
-            warn_on_no_convergence=False,
-        )
-        assert result.labels.shape[0] == small_web.num_vertices
 
 
 class TestFusedSteadyStateAllocations:

@@ -110,16 +110,6 @@ class TestEqualityAndSort:
     def test_inequality(self, triangle, path6):
         assert triangle != path6
 
-    def test_sorted_by_degree_preserves_structure(self, small_road):
-        g2, perm = small_road.sorted_by_degree()
-        assert g2.num_vertices == small_road.num_vertices
-        assert g2.num_edges == small_road.num_edges
-        # Degrees must be ascending and a permutation of the originals.
-        assert np.all(np.diff(g2.degrees) >= 0)
-        assert np.array_equal(np.sort(g2.degrees), np.sort(small_road.degrees))
-        # Edge (perm[a], perm[b]) in old graph <-> (a, b) in new graph.
-        assert g2.degree(0) == small_road.degree(int(perm[0]))
-
     def test_memory_bytes_accounting(self, triangle):
         # Built compact: 4 offsets * 4B + 6 arcs * (4B id + 4B weight) —
         # derived from the actual itemsizes, not hardcoded widths.
@@ -133,49 +123,6 @@ class TestEqualityAndSort:
         compact = wide.with_compact_layout()
         assert compact.memory_bytes() == 4 * 4 + 6 * (4 + 4)
         assert compact.memory_bytes() < wide.memory_bytes()
-
-
-class TestSortedByDegreeDifferential:
-    """The vectorized scatter must match the per-vertex reference exactly."""
-
-    def _check(self, graph):
-        fast_graph, fast_perm = graph.sorted_by_degree()
-        ref_graph, ref_perm = graph._sorted_by_degree_reference()
-        assert np.array_equal(fast_perm, ref_perm)
-        assert np.array_equal(fast_graph.offsets, ref_graph.offsets)
-        assert np.array_equal(fast_graph.targets, ref_graph.targets)
-        assert np.array_equal(fast_graph.weights, ref_graph.weights)
-
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_random_graphs(self, seed):
-        from repro.graph.generators import rmat_graph
-
-        self._check(rmat_graph(9, 6, seed=seed))
-
-    def test_self_loops(self):
-        offsets = np.array([0, 2, 3, 5], dtype=np.int64)
-        targets = np.array([0, 1, 1, 2, 0], dtype=np.int64)
-        weights = np.array([1.0, 2.0, 3.0, 4.0, 5.0], dtype=np.float32)
-        self._check(CSRGraph(offsets, targets, weights, validate=False))
-
-    def test_isolated_vertices(self):
-        # Vertices 1 and 3 have no arcs at all.
-        offsets = np.array([0, 2, 2, 4, 4, 5], dtype=np.int64)
-        targets = np.array([2, 4, 0, 4, 0], dtype=np.int64)
-        self._check(CSRGraph(offsets, targets, validate=False))
-
-    def test_empty_graph(self):
-        self._check(CSRGraph(np.zeros(1, dtype=np.int64),
-                             np.zeros(0, dtype=np.int64), validate=False))
-
-    def test_compact_graph_keeps_compact_dtypes(self):
-        offsets = np.array([0, 1, 3, 4], dtype=np.int32)
-        targets = np.array([1, 0, 2, 1], dtype=np.int32)
-        g = CSRGraph(offsets, targets, validate=False)
-        sorted_g, _ = g.sorted_by_degree()
-        assert sorted_g.offsets.dtype == np.int32
-        assert sorted_g.targets.dtype == np.int32
-        self._check(g)
 
 
 class TestHashAudit:

@@ -66,6 +66,16 @@ class TestEdgelist:
         with pytest.raises(GraphFormatError):
             read_edgelist(path)
 
+    @pytest.mark.parametrize("bad, reason", [
+        ("1 x", "could not convert 'x'"),
+        ("1", "1 column"),
+    ], ids=["token", "short-row"])
+    def test_malformed_row_names_its_file_line(self, tmp_path, bad, reason):
+        path = tmp_path / "g.txt"
+        path.write_text(f"# header\n# more\n0 1\n\n{bad}\n2 3\n")
+        with pytest.raises(GraphFormatError, match=rf"g\.txt: .*line 5: {reason}"):
+            read_edgelist(path)
+
 
 class TestMatrixMarket:
     def test_roundtrip(self, sample_graph, tmp_path):

@@ -4,9 +4,9 @@ Graphs are stored in the layout the engines run on: offsets and targets
 share one width, and that width is int32 exactly when the vertex and arc
 counts fit int32.  Builders, generators, readers and the re-packing
 transforms (:func:`permute_vertices`, :func:`induced_subgraph`,
-:func:`coarsen`, ...) produce it; the delta transforms and
-:meth:`~repro.graph.csr.CSRGraph.sorted_by_degree` keep their input's
-width, so an explicitly wide graph stays wide.  On every result the
+:func:`coarsen`, ...) produce it; the delta transforms and the
+off-heap copy keep their input's width, so an explicitly wide graph
+stays wide.  On every result the
 memory governor's ``csr`` charge must equal what
 :func:`~repro.gpu.governor.footprint_for` prices, for the compact run
 and for the wide one.
@@ -179,10 +179,8 @@ class TestTransformsKeepTheirInputWidth:
         only_updates = apply_batch(graph, DeltaBatch(ops=ops[2:3])).graph
         assert_layout(only_updates, _width(layout))
 
-    def test_sorted_by_degree_and_off_heap(self, layout):
-        graph = _web(layout)
-        assert_layout(graph.sorted_by_degree()[0], _width(layout))
-        assert_layout(_off_heap(graph), _width(layout))
+    def test_off_heap(self, layout):
+        assert_layout(_off_heap(_web(layout)), _width(layout))
 
     def test_repacking_transforms_build_compact(self, layout):
         graph = _web(layout)

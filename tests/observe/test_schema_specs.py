@@ -198,10 +198,6 @@ def _plus(path, delta, *, of=None):
     return _set(path, lambda d: _get(d, of or path) + delta)
 
 
-def _batch_one_job(doc):
-    doc["batching"].update(batches=1, batched_jobs=1)
-
-
 def _enable_without_budget(doc):
     doc["memory"].update(enabled=True, budget_bytes=0)
 
@@ -222,7 +218,6 @@ CROSS_FIELD = {
     "degraded <= completed": (
         "service", _plus(("jobs", "degraded"), 1, of=("jobs", "completed")),
         "$.jobs.degraded"),
-    "batched_jobs >= 2 batches": ("service", _batch_one_job, "$.batching.batches"),
     "in_flight <= high_water": (
         "service",
         _plus(("memory", "in_flight_bytes"), 1, of=("memory", "high_water_bytes")),

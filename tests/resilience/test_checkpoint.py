@@ -284,12 +284,9 @@ class TestRunDigest:
             graph, LPAConfig(tolerance=0.01), "v"
         )
 
-    def test_degree_renumber_changes_digest_only_when_set(self, graph):
-        # Pinned: default runs keep the digest their checkpoints carry.
+    def test_default_digest_is_pinned(self, graph):
+        # Default runs keep the digest their checkpoints carry.
         assert run_digest(graph, LPAConfig(), "hashtable") == "da3a115fb816ccc8"
-        assert run_digest(graph, LPAConfig(), "hashtable") != run_digest(
-            graph, LPAConfig(degree_renumber=True), "hashtable"
-        )
 
     def test_max_iterations_excluded(self, graph):
         # a killed run may legitimately be resumed with a higher cap
@@ -371,37 +368,22 @@ class TestResume:
                 resilience=ckpt_config(tmp_path, resume=True),
             )
 
-    @pytest.mark.parametrize("saved", [True, False], ids=["renumbered", "plain"])
-    def test_degree_renumber_toggle_refuses(self, tmp_path, graph, saved):
-        # A renumbered run checkpoints in the permuted vertex space, so
-        # resuming it with the flag toggled must refuse, not mix spaces.
-        nu_lpa(
-            graph, LPAConfig(max_iterations=2, degree_renumber=saved),
-            engine="vectorized", resilience=ckpt_config(tmp_path),
-            warn_on_no_convergence=False,
-        )
+    def test_renumbered_run_checkpoint_refuses(self, tmp_path, graph):
+        # Runs that renumbered vertices by degree stamped their checkpoints
+        # with this digest (labels in the permuted vertex space); no config
+        # produces it any more, so resuming one must refuse, not mix spaces.
+        manager = CheckpointManager(tmp_path / "ckpt")
+        manager.save(CheckpointState(
+            labels=np.arange(graph.num_vertices, dtype=np.int64),
+            flags=np.ones(graph.num_vertices, dtype=np.uint8),
+            iteration=2,
+            digest="ab7e63e34ac2cec2",
+        ))
         with pytest.raises(CheckpointError, match="different run"):
             nu_lpa(
-                graph, LPAConfig(degree_renumber=not saved),
-                engine="vectorized",
+                graph, engine="hashtable",
                 resilience=ckpt_config(tmp_path, resume=True),
             )
-
-    def test_renumbered_run_resumes_bit_identical(self, tmp_path, graph):
-        config = LPAConfig(degree_renumber=True)
-        baseline = nu_lpa(graph, config, engine="hashtable",
-                          warn_on_no_convergence=False)
-        nu_lpa(
-            graph, config.with_(max_iterations=2), engine="hashtable",
-            resilience=ckpt_config(tmp_path), warn_on_no_convergence=False,
-        )
-        resumed = nu_lpa(
-            graph, config, engine="hashtable",
-            resilience=ckpt_config(tmp_path, resume=True),
-            warn_on_no_convergence=False,
-        )
-        assert resumed.resumed_from == 2
-        assert np.array_equal(resumed.labels, baseline.labels)
 
     def test_checkpoint_every_writes_fewer_files(self, tmp_path, graph):
         nu_lpa(

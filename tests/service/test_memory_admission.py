@@ -167,7 +167,7 @@ class TestStats:
         service.submit_graph(graph, "a", max_iterations=8)
         service.drain()
         doc = validate_service_stats(service.stats())
-        assert doc["version"] == 4
+        assert doc["version"] == 5
         memory = doc["memory"]
         assert memory["enabled"] is True
         assert memory["budget_bytes"] == footprint * 4

@@ -45,6 +45,19 @@ class TestLifecycle:
             assert record.outcome.rung == "full"
             assert record.outcome.labels is not None
 
+    def test_step_runs_one_job_in_submission_order(self):
+        service = DetectionService(ServiceConfig(workers=8))
+        for job_id in ("a", "b", "c"):
+            service.submit(_spec(job_id))
+        for job_id in ("a", "b", "c"):
+            record = service.step()
+            assert record.job_id == job_id
+            assert record.state is JobState.COMPLETED
+            assert sum(
+                r.state is JobState.COMPLETED for r in service.jobs.values()
+            ) == "abc".index(job_id) + 1
+        assert service.step() is None
+
     def test_results_match_direct_nu_lpa(self):
         """The service adds orchestration, never different answers."""
         from repro import LPAConfig

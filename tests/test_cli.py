@@ -610,11 +610,9 @@ class TestQueryCommand:
         snaps = tmp_path / "snaps"
         assert main([
             "serve", "--jobs", str(jobs), "--workers", "3",
-            "--wave-batching", "--snapshot-dir", str(snaps),
+            "--snapshot-dir", str(snaps),
         ]) == 0
-        out = capsys.readouterr().out
-        assert "wave(s)" in out
-        assert "3 job(s) published" in out
+        assert "3 job(s) published" in capsys.readouterr().out
         assert main([
             "query", "--snapshots", str(snaps), "--job", "j1",
             "--membership", "0",
