@@ -35,6 +35,9 @@ class EdgeGather:
     #: Rank of the edge within its vertex's adjacency list; ``None`` when
     #: the caller passed ``need_rank=False``.
     edge_rank: np.ndarray | None
+    #: Index of each vertex's first edge in the flat arrays (a vertex
+    #: without edges starts where the next one does, or at the end).
+    table_start: np.ndarray
 
     @property
     def num_edges(self) -> int:
@@ -67,17 +70,20 @@ def gather_edges(
     """
     nv = int(vertices.shape[0])
     if nv == 0:
-        return EdgeGather(edge_index=_EMPTY, table_id=_EMPTY, edge_rank=_EMPTY)
+        return EdgeGather(edge_index=_EMPTY, table_id=_EMPTY, edge_rank=_EMPTY,
+                          table_start=_EMPTY)
     degrees = take(arena, f"{prefix}.deg", nv, graph.degrees.dtype)
     graph.degrees.take(vertices, out=degrees, mode="clip")
+    seg_start = take(arena, f"{prefix}.ss", nv, np.int64)
     if int(degrees.max()) == 0:
-        return EdgeGather(edge_index=_EMPTY, table_id=_EMPTY, edge_rank=_EMPTY)
+        seg_start[:] = 0
+        return EdgeGather(edge_index=_EMPTY, table_id=_EMPTY, edge_rank=_EMPTY,
+                          table_start=seg_start)
     # Compact graphs hold int32 degrees and offsets.  A ufunc mixing them
     # with int64 operands (a cumsum or sum widening into int64, a subtract
     # with an int64 output) casts through a temporary buffer that numpy
     # allocates per call, so each is first copied into an int64 slot and
     # the arithmetic runs in place there.
-    seg_start = take(arena, f"{prefix}.ss", nv, np.int64)
     seg_start[0] = 0
     np.copyto(seg_start[1:], degrees[:-1])
     np.cumsum(seg_start, out=seg_start)
@@ -112,10 +118,10 @@ def gather_edges(
     starts.take(table_id, out=edge_index, mode="clip")
     np.add(edge_index, ramp, out=edge_index)
 
-    if not need_rank:
-        return EdgeGather(edge_index=edge_index, table_id=table_id, edge_rank=None)
-
-    edge_rank = take(arena, f"{prefix}.rank", total, np.int64)
-    seg_start.take(table_id, out=edge_rank, mode="clip")
-    np.subtract(ramp, edge_rank, out=edge_rank)
-    return EdgeGather(edge_index=edge_index, table_id=table_id, edge_rank=edge_rank)
+    edge_rank = None
+    if need_rank:
+        edge_rank = take(arena, f"{prefix}.rank", total, np.int64)
+        seg_start.take(table_id, out=edge_rank, mode="clip")
+        np.subtract(ramp, edge_rank, out=edge_rank)
+    return EdgeGather(edge_index=edge_index, table_id=table_id,
+                      edge_rank=edge_rank, table_start=seg_start)

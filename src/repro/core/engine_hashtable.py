@@ -46,6 +46,7 @@ from repro.hashing.parallel_hashtable import (
     parallel_accumulate,
     segmented_clear,
     segmented_max_key,
+    table_runs,
 )
 from repro.hashing.probing import ProbeStrategy
 from repro.perf.workspace import WorkspaceArena, compact, iota, take
@@ -328,6 +329,7 @@ class HashtableEngine:
         if self._loop_free:
             m = ne
             entry_table = gather.table_id
+            table_start = gather.table_start
             edge_rank = gather.edge_rank
             entry_key = take(arena, "hw.ek", ne, labels.dtype)
             labels.take(targets, out=entry_key, mode="clip")
@@ -353,6 +355,15 @@ class HashtableEngine:
                     gather.table_id, targets, weights,
                 )
                 edge_rank = None
+            # Each table's first entry is the number of kept arcs before
+            # its first arc; a vertex whose every arc is a self-loop keeps
+            # no entry, and its run is empty.
+            kept = take(arena, "hw.kept", ne + 1, np.int64)
+            kept[0] = 0
+            np.copyto(kept[1:], non_loop, casting="unsafe")
+            np.cumsum(kept, out=kept)
+            table_start = take(arena, "hw.ts", wave.shape[0], np.int64)
+            kept.take(gather.table_start, out=table_start, mode="clip")
             entry_key = take(arena, "hw.ek", m, labels.dtype)
             labels.take(tgt_nl, out=entry_key, mode="clip")
             entry_value = take(arena, "hw.ev", m, self.tables.values.dtype)
@@ -387,10 +398,11 @@ class HashtableEngine:
                 entry_value,
                 self.config.probing,
                 shared=kind.uses_atomics,
+                clean=self.fault_hook is None,
                 arena=arena,
             )
             warp_serial = self._warp_critical_path(
-                kind, wave, entry_table, edge_rank, acc.entry_probes
+                kind, wave, entry_table, table_start, edge_rank, acc.entry_probes
             )
 
             if self.fault_hook is not None:
@@ -407,6 +419,8 @@ class HashtableEngine:
                 fallback,
                 entry_table,
                 acc.entry_slot,
+                table_start=table_start,
+                table_base=base,
                 arena=arena,
                 out=best,
             )
@@ -498,6 +512,7 @@ class HashtableEngine:
         kind: KernelKind,
         wave: np.ndarray,
         entry_table: np.ndarray,
+        table_start: np.ndarray,
         edge_rank: np.ndarray,
         entry_probes: np.ndarray,
     ) -> int:
@@ -519,25 +534,15 @@ class HashtableEngine:
         np.add(entry_probes, 1, out=entry_work)
 
         if kind is KernelKind.THREAD_PER_VERTEX:
-            # Lane == wave-local vertex index.  ``entry_table`` is
-            # non-decreasing (gather order), so per-lane totals are
-            # segment sums scattered to each run's lane — equivalent to
-            # ``np.add.at`` but without its transient iterator buffer.
+            # Lane == wave-local vertex index, and each lane's entries are
+            # its table's run.
             nw = wave.shape[0]
-            run_first = take(arena, "wcp.rf", ne, bool)
-            run_first[0] = True
-            np.not_equal(entry_table[1:], entry_table[:-1], out=run_first[1:])
-            num_runs = int(np.count_nonzero(run_first))
-            run_starts = compact(
-                arena, "wcp.rs", run_first, num_runs, iota(arena, ne)
-            )
-            run_sums = take(arena, "wcp.sum", num_runs, np.int64)
-            np.add.reduceat(entry_work, run_starts, out=run_sums)
-            run_lanes = take(arena, "wcp.rl", num_runs, np.int64)
-            entry_table.take(run_starts, out=run_lanes, mode="clip")
+            starts, has_entries = table_runs(table_start, ne, arena, "wcp")
             lane_work = take(arena, "wcp.lw", nw, np.int64)
-            lane_work[:] = 0
-            lane_work[run_lanes] = run_sums
+            np.add.reduceat(entry_work, starts, out=lane_work[: starts.shape[0]])
+            if has_entries is not None:  # lanes without entries idle
+                np.logical_not(has_entries, out=has_entries)
+                np.putmask(lane_work, has_entries, 0)
             return self._warp_max_sum(lane_work, nw)
 
         # Block kernel: the vertex's edges are strided over the block's

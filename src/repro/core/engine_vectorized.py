@@ -37,6 +37,7 @@ from repro.gpu.kernel import KernelKind
 from repro.gpu.metrics import KernelCounters
 from repro.gpu.scheduler import plan_waves
 from repro.graph.csr import CSRGraph
+from repro.hashing.parallel_hashtable import order_code_f32
 from repro.observe.trace import (
     KernelLaunchEvent,
     WaveEvent,
@@ -156,8 +157,12 @@ def _groupby_order_packed(
         return None
     comp = take(arena, "gb.comp", n, np.int64)
     np.multiply(table_id, np.int64(1) << (rbits + ibits), out=comp)
+    # Compact-layout keys are int32: widen them into the slot first, as a
+    # multiply mixing int32 keys with an int64 output casts through a
+    # buffer numpy allocates per call.
     shifted_rank = take(arena, "gb.rsh", n, np.int64)
-    np.multiply(keys, np.int64(1) << ibits, out=shifted_rank)
+    np.copyto(shifted_rank, keys)
+    np.multiply(shifted_rank, np.int64(1) << ibits, out=shifted_rank)
     np.add(comp, shifted_rank, out=comp)
     np.add(comp, iota(arena, n), out=comp)
     comp.sort()
@@ -342,25 +347,19 @@ def _winners_encoded(
     """:func:`_winners_scan` for float32 sums and keys in ``[0, 2^32)``,
     as one encoded max per table.
 
-    Each group becomes one int64, ``ordered(sum) << 32 | (2^32 - 1 - key)``,
-    where ``ordered`` maps float32 bits to an int32 of the same order, so
-    the largest code is the largest sum and, among equal sums, the
-    smallest key — the scan's first maximum on the ``"smallest"`` path,
-    where groups are key-sorted within a table.  ``-0.0`` is folded to
-    ``+0.0`` first (they compare equal as floats); NaN sums are the
-    caller's to exclude.  Tables without a group keep ``out``'s value.
-    ``sums`` is overwritten.
+    Each group becomes one int64, ``ordered(sum) << 32 | (2^32 - 1 - key)``
+    (:func:`~repro.hashing.parallel_hashtable.order_code_f32`, shared
+    with the hashtable engine's reduce), so the largest code is the
+    largest sum and, among equal sums, the smallest key — the scan's
+    first maximum on the ``"smallest"`` path, where groups are key-sorted
+    within a table.  ``-0.0`` is folded to ``+0.0`` first (they compare
+    equal as floats); NaN sums are the caller's to exclude.  Tables
+    without a group keep ``out``'s value.  ``sums`` is overwritten.
     """
     num_groups = sums.shape[0]
-    np.add(sums, np.float32(0.0), out=sums)  # -0.0 + 0.0 == +0.0
     code = take(arena, "gb.code", num_groups, np.int64)
-    np.copyto(code, sums.view(np.int32), casting="unsafe")
-    # Negative floats order backwards by magnitude: flip their low 31 bits.
+    order_code_f32(sums, code, take(arena, "gb.o32", num_groups, np.int32))
     low = take(arena, "gb.low", num_groups, np.int64)
-    np.right_shift(code, np.int64(31), out=low)
-    np.bitwise_and(low, np.int64(0x7FFFFFFF), out=low)
-    np.bitwise_xor(code, low, out=code)
-    np.multiply(code, np.int64(1) << 32, out=code)
     np.subtract(_KEY_MASK, group_key, out=low)
     np.bitwise_or(code, low, out=code)
     best = take(arena, "gb.best", out.shape[0], np.int64)

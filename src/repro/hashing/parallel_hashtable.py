@@ -31,6 +31,14 @@ else follows from those final slots in one pass at the end of the wave:
 * :func:`fused_max_and_clear` reduces and re-clears each table through its
   entries' slots, which are exactly the table's occupied slots.
 
+Round 1 is most of a wave: every entry probes its home slot ``k mod p1``,
+and most settle there.  On tables the caller guarantees clean
+(``clean=True``; the engine's fused sweep leaves them so) every home slot
+reads empty, so round 1 writes before it reads — one reversed scatter
+claims the slots — and then re-reads them to find the losers.  Probe
+state (``i``, ``di``, ``k mod p2``) is built only for those losers, as
+compact columns that the later rounds gather from.
+
 The round structure also yields the per-entry probe counts the cost model
 needs (memory traffic and, in the engine, lockstep divergence — a warp is
 as slow as its unluckiest lane).
@@ -39,9 +47,9 @@ Every function takes an optional :class:`~repro.perf.workspace.
 WorkspaceArena`; with one attached the whole wave runs without heap
 allocation (slot prefixes: ``pa.`` accumulate, ``seg.`` segment indexing,
 ``smk.`` max-key, ``fz.`` fused reduce).  Results are bit-identical either
-way.  Two scatters lean on the last write to a slot winning, as argued
-inline: the reversed-scatter CAS winner, which replaces an ``np.unique``,
-and the reduce's per-table run ends.
+way.  The CAS winner leans on the last write to a slot winning: a
+reversed scatter makes the first lane in lane order land last, which
+replaces an ``np.unique``.
 """
 
 from __future__ import annotations
@@ -59,13 +67,17 @@ from repro.types import EMPTY_KEY
 __all__ = [
     "WaveAccumulateResult",
     "fused_max_and_clear",
+    "order_code_f32",
     "parallel_accumulate",
     "segmented_clear",
     "segmented_max_key",
     "segment_index_arrays",
+    "table_runs",
 ]
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
+#: Low 32 bits of a reduce code.
+_LOW_WORD = np.int64(0xFFFFFFFF)
 
 #: Two's-complement int64 wraparound constants for the scalar tail.
 _U64_SPAN = 1 << 64
@@ -233,6 +245,51 @@ def _distinct_slots(
     return int(np.count_nonzero(seen))
 
 
+def _probe_columns(
+    keys: np.ndarray,
+    p1_of: np.ndarray,
+    base_of: np.ndarray,
+    entry_table: np.ndarray,
+    table_p2: np.ndarray,
+    rows: np.ndarray,
+    strategy: ProbeStrategy,
+    arena: WorkspaceArena | None,
+):
+    """Compact probe-state columns for the entries ``rows``.
+
+    Returns ``(key, p1, base, i, di, step_add)`` at Algorithm 2 line 2:
+    ``i <- k; di <- 1``, except pure double hashing, whose step is the
+    per-key constant ``1 + (k mod p2)``.  The quadratic-double step adds
+    the per-key constant ``k mod p2`` every round, so it is computed once
+    per entry (``step_add``; ``None`` for the other strategies).
+    """
+    r = rows.shape[0]
+    k = take(arena, "pa.rk", r, np.int64)
+    keys.take(rows, out=k, mode="clip")
+    p1 = take(arena, "pa.rp1", r, np.int64)
+    p1_of.take(rows, out=p1, mode="clip")
+    base = take(arena, "pa.rbase", r, np.int64)
+    base_of.take(rows, out=base, mode="clip")
+    probe_i = take(arena, "pa.pi", r, np.int64)
+    np.copyto(probe_i, k)
+    probe_di = take(arena, "pa.pdi", r, np.int64)
+    step_add = None
+    if strategy in (ProbeStrategy.DOUBLE, ProbeStrategy.QUADRATIC_DOUBLE):
+        row_table = take(arena, "pa.rt", r, entry_table.dtype)
+        entry_table.take(rows, out=row_table, mode="clip")
+        kmod = take(arena, "pa.kmod", r, np.int64)
+        table_p2.take(row_table, out=kmod, mode="clip")
+        np.remainder(k, kmod, out=kmod)
+        if strategy is ProbeStrategy.DOUBLE:
+            np.add(kmod, 1, out=probe_di)
+        else:
+            probe_di[:] = 1
+            step_add = kmod
+    else:
+        probe_di[:] = 1
+    return k, p1, base, probe_i, probe_di, step_add
+
+
 def parallel_accumulate(
     keys_buf: np.ndarray,
     values_buf: np.ndarray,
@@ -246,6 +303,7 @@ def parallel_accumulate(
     *,
     shared: bool = True,
     max_retries: int = MAX_RETRIES,
+    clean: bool = False,
     arena: WorkspaceArena | None = None,
 ) -> WaveAccumulateResult:
     """Accumulate all ``(entry_key, entry_value)`` pairs into their tables.
@@ -267,6 +325,11 @@ def parallel_accumulate(
         for the thread-per-vertex kernel, where a single lane owns each
         table so the CAS degenerates to a plain store — the slot outcome is
         identical, only the atomic counters differ.
+    clean:
+        The caller guarantees every live slot of the wave's tables is
+        empty, so round 1 writes before it reads (each home slot would
+        read ``EMPTY_KEY``).  The engine sets it when no fault hook can
+        have planted keys since the previous wave's clear.
     arena:
         Optional scratch arena (``pa.`` slots) for allocation-free rounds.
 
@@ -289,31 +352,21 @@ def parallel_accumulate(
     table_p1.take(entry_table, out=p1_of, mode="clip")
     base_of = take(arena, "pa.baseof", n, np.int64)
     table_base.take(entry_table, out=base_of, mode="clip")
+    probes_done = take(arena, "pa.done", n, np.int64)
+    entry_slot = take(arena, "pa.slot", n, np.int64)
 
-    # Probe state (Algorithm 2 line 2: i <- k; di <- 1, except pure double
-    # hashing whose step is the per-key constant 1 + (k mod p2)).  The
-    # quadratic-double step adds the per-key constant k mod p2 every
-    # round, so it is computed once per entry.
-    probe_i = take(arena, "pa.pi", n, np.int64)
-    np.copyto(probe_i, keys)
-    probe_di = take(arena, "pa.pdi", n, np.int64)
-    step_add = None
-    if strategy in (ProbeStrategy.DOUBLE, ProbeStrategy.QUADRATIC_DOUBLE):
-        kmod = take(arena, "pa.kmod", n, np.int64)
-        table_p2.take(entry_table, out=kmod, mode="clip")
-        np.remainder(keys, kmod, out=kmod)
-        if strategy is ProbeStrategy.DOUBLE:
-            np.add(kmod, 1, out=probe_di)
-        else:
-            probe_di[:] = 1
-            step_add = kmod
-    else:
-        probe_di[:] = 1
+    # Round 1 probes every entry at its home slot, i = k, straight from
+    # the per-entry columns.  Probe state exists only for the entries
+    # that lose round 1, as columns compacted to them (``rows`` maps each
+    # back to its entry); later rounds gather from those columns.
+    rows = None
+    k_col = i_col = keys
+    p1_col, base_col = p1_of, base_of
+    done_col, slot_col = probes_done, entry_slot
+    di_col = step_add = None
     doubling = strategy in (ProbeStrategy.QUADRATIC, ProbeStrategy.QUADRATIC_DOUBLE)
 
     pending = iota(arena, n)  # read-only; retries compress into ping-pong slots
-    probes_done = take(arena, "pa.done", n, np.int64)
-    entry_slot = take(arena, "pa.slot", n, np.int64)
     if max_retries == MAX_RETRIES:
         # Enough for the completeness fallback to sweep the largest table.
         max_retries = max(MAX_RETRIES, 2 * int(table_p1.max(initial=1)) + 64)
@@ -324,82 +377,101 @@ def parallel_accumulate(
     for round_no in range(1, max_retries + 1):
         num_pending = pending.shape[0]
         if num_pending <= _SCALAR_TAIL_MAX:
+            if di_col is None:  # a wave this small runs no vector round
+                k_col, p1_col, base_col, i_col, di_col, step_add = _probe_columns(
+                    keys, p1_of, base_of, entry_table, table_p2, pending,
+                    strategy, arena,
+                )
             _scalar_tail(
-                keys_buf, keys, probe_i, probe_di, step_add, p1_of, base_of,
-                pending, probes_done, entry_slot, result, strategy, shared,
+                keys_buf, k_col, i_col, di_col, step_add, p1_col, base_col,
+                pending, done_col, slot_col, result, strategy, shared,
                 round_no, max_retries,
             )
             break
-        if round_no == 1:
-            # First round: every entry is pending in order, so the per-round
-            # "gather the pending entries' state" columns are the state
-            # arrays themselves — skip the identity gathers over the largest
-            # round.  They are only read below (the retry advance scatters
-            # into probe_i/probe_di directly), so aliasing is safe; the
-            # slots go straight into ``entry_slot``.
-            k = keys
-            pip = probe_i
-            p1p = p1_of
-            bp = base_of
-            slots = entry_slot
+        if round_no <= 2:
+            # Every column entry is pending, in order: skip the identity
+            # gathers.  The columns are only read below (the retry
+            # advance scatters into them directly), so aliasing is safe;
+            # the slots go straight into ``slot_col``.
+            k, pip, p1p, bp, slots = k_col, i_col, p1_col, base_col, slot_col
         else:
             k = take(arena, "pa.k", num_pending, np.int64)
-            keys.take(pending, out=k, mode="clip")
+            k_col.take(pending, out=k, mode="clip")
             pip = take(arena, "pa.pip", num_pending, np.int64)
-            probe_i.take(pending, out=pip, mode="clip")
+            i_col.take(pending, out=pip, mode="clip")
             p1p = take(arena, "pa.p1p", num_pending, np.int64)
-            p1_of.take(pending, out=p1p, mode="clip")
+            p1_col.take(pending, out=p1p, mode="clip")
             bp = take(arena, "pa.bp", num_pending, np.int64)
-            base_of.take(pending, out=bp, mode="clip")
+            base_col.take(pending, out=bp, mode="clip")
             slots = take(arena, "pa.slots", num_pending, np.int64)
         np.remainder(pip, p1p, out=slots)
         np.add(slots, bp, out=slots)
         # Every still-pending entry has probed exactly once per round, so
         # its count is simply the (1-based) round number — one scalar
         # scatter instead of the gather/add/scatter the GPU would do.
-        if round_no == 1:
-            probes_done[:] = 1
+        if round_no <= 2:
+            done_col[:] = round_no
         else:
-            probes_done[pending] = round_no
-            entry_slot[pending] = slots
+            done_col[pending] = round_no
+            slot_col[pending] = slots
 
         current = take(arena, "pa.cur", num_pending, np.int64)
-        keys_buf.take(slots, out=current, mode="clip")
-        empty = take(arena, "pa.emp", num_pending, bool)
-        np.equal(current, EMPTY_KEY, out=empty)
-        num_empty = int(np.count_nonzero(empty))
-
+        if round_no == 1 and clean:
+            # Every home slot reads EMPTY_KEY, so the CAS is the reversed
+            # scatter below with nothing read first.
+            keys_buf[slots[::-1]] = k[::-1]
+            num_empty = num_pending
+        else:
+            keys_buf.take(slots, out=current, mode="clip")
+            empty = take(arena, "pa.emp", num_pending, bool)
+            np.equal(current, EMPTY_KEY, out=empty)
+            num_empty = int(np.count_nonzero(empty))
+            if num_empty:
+                # atomicCAS as a masked write-back: entries on an occupied
+                # slot write back the key they read (all of a slot's
+                # probers read the same value this round); entries on an
+                # empty slot write their own key.  Scattering in *reverse*
+                # makes the first lane on each slot land last, so the
+                # buffer holds the first-in-lane-order winner without
+                # computing np.unique.
+                np.putmask(current, empty, k)
+                keys_buf[slots[::-1]] = current[::-1]
         if num_empty:
-            # atomicCAS as a masked write-back: entries on an occupied slot
-            # write back the key they read (all of a slot's probers read
-            # the same value this round); entries on an empty slot write
-            # their own key.  Scattering in *reverse* makes the first lane
-            # on each slot land last, so the buffer holds the
-            # first-in-lane-order winner without computing np.unique.
-            np.putmask(current, empty, k)
-            keys_buf[slots[::-1]] = current[::-1]
             if shared:
                 result.cas_attempts += num_empty
             keys_buf.take(slots, out=current, mode="clip")  # re-read after CAS commits
 
-        still = np.not_equal(current, k, out=empty)
+        still = take(arena, "pa.still", num_pending, bool)
+        np.not_equal(current, k, out=still)
         num_retry = int(np.count_nonzero(still))
         result.rounds = round_no
         if num_retry == 0:
             break
 
+        if round_no == 1:
+            rows = compact(arena, "pa.rows", still, num_retry, pending)
+            k_col, p1_col, base_col, i_col, di_col, step_add = _probe_columns(
+                keys, p1_of, base_of, entry_table, table_p2, rows, strategy, arena
+            )
+            done_col = take(arena, "pa.rdone", num_retry, np.int64)
+            slot_col = take(arena, "pa.rslot", num_retry, np.int64)
+            retry = iota(arena, num_retry)
+        else:
+            # The retry list ping-pongs between two slots because
+            # ``pending`` (last round's list) is still being read while
+            # this one is written.
+            retry = compact(
+                arena, "pa.pendB" if flip else "pa.pendA", still, num_retry,
+                pending,
+            )
+            flip = not flip
+
         # Advance the retrying entries (Algorithm 2 lines 17-18), inlined
-        # from probing.probe_advance with in-place arithmetic.  The retry
-        # list ping-pongs between two slots because ``pending`` (last
-        # round's list) is still being read while this one is written.
-        retry = compact(
-            arena, "pa.pendB" if flip else "pa.pendA", still, num_retry, pending
-        )
-        flip = not flip
+        # from probing.probe_advance with in-place arithmetic.
         old_i = take(arena, "pa.oi", num_retry, np.int64)
-        probe_i.take(retry, out=old_i, mode="clip")
+        i_col.take(retry, out=old_i, mode="clip")
         step = take(arena, "pa.dr", num_retry, np.int64)
-        probe_di.take(retry, out=step, mode="clip")
+        di_col.take(retry, out=step, mode="clip")
         new_i = take(arena, "pa.ni", num_retry, np.int64)
         np.add(old_i, step, out=new_i)
         if doubling:  # quadratic: 2*di; quadratic-double: 2*di + k mod p2
@@ -408,7 +480,7 @@ def parallel_accumulate(
                 kr = take(arena, "pa.kr", num_retry, np.int64)
                 step_add.take(retry, out=kr, mode="clip")
                 np.add(step, kr, out=step)
-            probe_di[retry] = step
+            di_col[retry] = step
         # LINEAR and DOUBLE keep their step.
 
         # Completeness guard: with p1 = 2^k - 1 the doubling-based step
@@ -420,19 +492,22 @@ def parallel_accumulate(
         # so before round min(p1) no entry qualifies.
         if round_no >= min_p1:
             p1r = take(arena, "pa.p1r", num_retry, np.int64)
-            p1_of.take(retry, out=p1r, mode="clip")
+            p1_col.take(retry, out=p1r, mode="clip")
             fb = take(arena, "pa.fbm", num_retry, bool)
             np.less_equal(p1r, round_no, out=fb)
             np.add(old_i, 1, out=old_i)
             np.copyto(new_i, old_i, where=fb)
 
-        probe_i[retry] = new_i
+        i_col[retry] = new_i
         pending = retry
     else:
         raise HashtableFullError(
             f"{pending.shape[0]} entries unplaced after {max_retries} probe "
             f"rounds (strategy={strategy.value})"
         )
+    if rows is not None:
+        probes_done[rows] = done_col
+        entry_slot[rows] = slot_col
 
     # Settle the wave: every atomicAdd in lane order, then the counters.
     np.add.at(values_buf, entry_slot, entry_value)
@@ -572,6 +647,53 @@ def segmented_max_key(
     return out
 
 
+def order_code_f32(
+    values: np.ndarray, code: np.ndarray, scratch: np.ndarray
+) -> None:
+    """``code = ordered(values) << 32`` for float32 ``values``.
+
+    ``ordered`` maps float32 bits to an int32 of the same order: a
+    non-negative float's bits already order like its value, and a
+    negative float's order backwards by magnitude, so their low 31 bits
+    are flipped.  ``-0.0`` is folded to ``+0.0`` first (they compare equal
+    as floats); NaN has no place in the order, so callers exclude it.
+    ``values`` is overwritten and ``scratch`` is int32 of the same length.
+    The low word is the caller's tie-break among equal values.
+    """
+    np.add(values, np.float32(0.0), out=values)  # -0.0 + 0.0 == +0.0
+    bits = values.view(np.int32)
+    np.right_shift(bits, np.int32(31), out=scratch)
+    np.bitwise_and(scratch, np.int32(0x7FFFFFFF), out=scratch)
+    np.bitwise_xor(bits, scratch, out=scratch)
+    np.copyto(code, scratch, casting="unsafe")
+    np.left_shift(code, np.int64(32), out=code)
+
+
+def table_runs(
+    table_start: np.ndarray,
+    n: int,
+    arena: WorkspaceArena | None,
+    prefix: str,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``reduceat`` boundaries of the tables' runs of ``n`` entries.
+
+    ``table_start[t]`` is the index of table ``t``'s first entry; a table
+    without entries starts where the next one does (or at ``n``).  When
+    every table has entries, returns ``(table_start, None)``.  Otherwise
+    the boundaries stop before the trailing tables that start at ``n``
+    (``reduceat`` rejects ``n``), and the second item masks the tables
+    that own entries: ``reduceat`` gives each of the others at most one
+    stray element, which the caller must discard.
+    """
+    nt = table_start.shape[0]
+    has = take(arena, f"{prefix}.has", nt, bool)
+    np.not_equal(table_start[1:], table_start[:-1], out=has[:-1])
+    has[-1] = int(table_start[-1]) != n
+    if int(np.count_nonzero(has)) == nt:
+        return table_start, None
+    return table_start[: int(np.searchsorted(table_start, n))], has
+
+
 def fused_max_and_clear(
     keys_buf: np.ndarray,
     values_buf: np.ndarray,
@@ -579,18 +701,22 @@ def fused_max_and_clear(
     entry_table: np.ndarray,
     entry_slot: np.ndarray,
     *,
+    table_start: np.ndarray,
+    table_base: np.ndarray,
     arena: WorkspaceArena | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fused ``hashtableMaxKey`` + ``hashtableClear`` over the entries' slots.
 
     ``entry_slot`` is :attr:`WaveAccumulateResult.entry_slot` of the wave
-    that filled the tables, and ``entry_table`` must be non-decreasing
-    (the engine's gather order is).  Tables started the wave clean and
-    only an entry's CAS writes a key, so a table's entries' slots are
-    exactly its occupied slots — the reduction sees the same values as a
-    scan of every live slot (``segmented_max_key``) and the clear restores
-    the same all-empty tables as ``segmented_clear``.
+    that filled the tables, ``entry_table`` must be non-decreasing (the
+    engine's gather order is), ``table_start`` holds each table's first
+    entry (see :func:`table_runs`) and ``table_base`` its first slot.
+    Tables started the wave clean and only an entry's CAS writes a key,
+    so a table's entries' slots are exactly its occupied slots — the
+    reduction sees the same values as a scan of every live slot
+    (``segmented_max_key``) and the clear restores the same all-empty
+    tables as ``segmented_clear``.
 
     Per table: the key of the lowest slot holding the maximum value.  The
     values are compared in the buffer's own float dtype: widening to
@@ -599,61 +725,67 @@ def fused_max_and_clear(
     no entries, or whose values include a NaN (no value equals a NaN
     maximum), keeps ``fallback[t]``.
 
+    float32 waves without a NaN take one ``maximum.reduceat`` over an
+    encoded entry, ``ordered(value) << 32`` minus its slot
+    (:func:`order_code_f32`): the largest code is the largest value and,
+    among equal values, the lowest slot.  Within a table this orders
+    like ``ordered(value) << 32 | (2^32 - 1 - (slot - base))``, which
+    differs from it by the table's constant ``base + 2^32 - 1``, so the
+    winner's ``slot - base`` is the low word of ``-(code + base)``
+    (tables hold fewer than 2^32 slots).  float64 waves, and waves
+    holding a NaN, scan for the first maximum instead.
+
     With an arena (``fz.`` slots) the whole pass is allocation-free.
     """
     if out is None:
         out = np.empty_like(fallback)
-    np.copyto(out, fallback)
     n = entry_slot.shape[0]
     if n == 0:
+        np.copyto(out, fallback)
         return out
 
-    # Each table's run of entries: the forward scatter leaves one past
-    # the table's last entry (the last write wins); a table without
-    # entries keeps 0.  Each run starts where the previous one ends.
     nt = fallback.shape[0]
-    ends = take(arena, "fz.end", nt, np.int64)
-    ends[:] = 0
-    ends[entry_table] = iota(arena, n + 1)[1:]
-    has_entries = take(arena, "fz.some", nt, bool)
-    np.not_equal(ends, 0, out=has_entries)
-    num_runs = int(np.count_nonzero(has_entries))
-    run_end, run_table = compact(
-        arena, "fz.run", has_entries, num_runs, ends, iota(arena, nt)
-    )
-    starts = take(arena, "fz.start", num_runs, np.int64)
-    starts[0] = 0
-    starts[1:] = run_end[:-1]
-
+    starts, found = table_runs(table_start, n, arena, "fz")
+    runs = starts.shape[0]
     dtype = values_buf.dtype
     vals = take(arena, "fz.v", n, dtype)
     values_buf.take(entry_slot, out=vals, mode="clip")
-    run_max = take(arena, "fz.max", num_runs, dtype)
-    np.maximum.reduceat(vals, starts, out=run_max)
+    winner_slot = take(arena, "fz.win", nt, np.int64)
+    if dtype == np.float32 and not np.isnan(vals.max()):
+        code = take(arena, "fz.code", n, np.int64)
+        order_code_f32(vals, code, take(arena, "fz.o32", n, np.int32))
+        np.subtract(code, entry_slot, out=code)
+        np.maximum.reduceat(code, starts, out=winner_slot[:runs])
+        np.add(winner_slot, table_base, out=winner_slot)
+        np.negative(winner_slot, out=winner_slot)
+        np.bitwise_and(winner_slot, _LOW_WORD, out=winner_slot)
+        np.add(winner_slot, table_base, out=winner_slot)
+    else:
+        # Lowest slot holding its table's maximum; a NaN maximum matches
+        # none, which leaves the table without a winner.
+        table_max = take(arena, "fz.max", nt, dtype)
+        np.maximum.reduceat(vals, starts, out=table_max[:runs])
+        spread = take(arena, "fz.spread", n, dtype)
+        table_max.take(entry_table, out=spread, mode="clip")
+        not_max = take(arena, "fz.nmax", n, bool)
+        np.not_equal(vals, spread, out=not_max)
+        candidate = take(arena, "fz.cand", n, np.int64)
+        np.copyto(candidate, entry_slot)
+        np.putmask(candidate, not_max, _INT64_MAX)
+        np.minimum.reduceat(candidate, starts, out=winner_slot[:runs])
+        has_max = take(arena, "fz.hmax", nt, bool)
+        np.not_equal(winner_slot, _INT64_MAX, out=has_max)
+        if found is not None:
+            np.logical_and(has_max, found, out=has_max)
+        found = has_max
 
-    # Lowest slot holding its table's maximum; a NaN maximum matches none.
-    table_max = take(arena, "fz.tmax", nt, dtype)
-    table_max[run_table] = run_max
-    spread = take(arena, "fz.spread", n, dtype)
-    table_max.take(entry_table, out=spread, mode="clip")
-    not_max = take(arena, "fz.nmax", n, bool)
-    np.not_equal(vals, spread, out=not_max)
-    candidate = take(arena, "fz.cand", n, np.int64)
-    np.copyto(candidate, entry_slot)
-    np.putmask(candidate, not_max, _INT64_MAX)
-    winner_slot = take(arena, "fz.win", num_runs, np.int64)
-    np.minimum.reduceat(candidate, starts, out=winner_slot)
-
-    found = take(arena, "fz.has", num_runs, bool)
-    np.not_equal(winner_slot, _INT64_MAX, out=found)
-    num_found = int(np.count_nonzero(found))
-    if num_found < num_runs:
-        run_table, winner_slot = compact(
-            arena, "fz.found", found, num_found, run_table, winner_slot
-        )
-    winner_key = take(arena, "fz.wkey", num_found, np.int64)
+    winner_key = take(arena, "fz.wkey", nt, np.int64)
     keys_buf.take(winner_slot, out=winner_key, mode="clip")
-    out[run_table] = winner_key
+    if found is None:
+        np.copyto(out, winner_key, casting="unsafe")
+    else:
+        np.copyto(out, fallback)
+        np.copyto(out, winner_key, casting="unsafe", where=found)
 
     # Clear-at-end: hand the next wave clean tables.
     keys_buf[entry_slot] = EMPTY_KEY

@@ -20,19 +20,44 @@ proof to the fused hashtable path.
 
 import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import engine_hashtable
 from repro.core.config import LPAConfig
 from repro.core.lpa import make_engine, nu_lpa
 from repro.core.pruning import Frontier
+from repro.graph import datasets
+from repro.graph.build import from_edges
 from repro.graph.generators import rmat_graph, watts_strogatz, web_graph
+from repro.hashing.parallel_hashtable import segment_index_arrays
 from repro.hashing.probing import ProbeStrategy
-from repro.types import VERTEX_DTYPE
+from repro.types import EMPTY_KEY, VERTEX_DTYPE
 from tests.reference_sweep import engine_layouts, no_arena, reference_reduce
 
 ENGINES = ["vectorized", "hashtable"]
+
+
+def _loopy_graph():
+    """A random graph with self-loops: some vertices carry one beside
+    their other arcs, so does a hub above the switch degree (block
+    kernel), and three vertices — the last one among them — have only
+    self-loops, so their tables get no entries."""
+    rng = np.random.default_rng(11)
+    n = 400
+    src = rng.integers(0, n - 8, 1600)
+    dst = rng.integers(0, n - 8, 1600)
+    hub_dst = rng.integers(1, n - 8, 60)
+    loops = np.concatenate([[0], rng.choice(n - 8, 60, replace=False)])
+    only = np.array([n - 8, n - 5, n - 1])
+    src = np.concatenate([src, np.zeros(60, np.int64), loops, only])
+    dst = np.concatenate([dst, hub_dst, loops, only])
+    graph = from_edges(src, dst, rng.random(src.shape[0]) + 0.5, num_vertices=n)
+    assert graph.has_self_loops
+    assert int(graph.degrees[0]) > LPAConfig().switch_degree
+    return graph
 
 
 def _run(graph, engine, *, reference=False, arena=True, **config_kwargs):
@@ -91,6 +116,80 @@ class TestFusedSweepDifferential:
         _assert_identical(fused, plain, "scalar tail")
 
 
+    @pytest.mark.parametrize("value_dtype", [np.float32, np.float64])
+    def test_self_loops_match_reference(self, value_dtype):
+        # Self-loops are filtered from the entries, so each table's first
+        # entry comes from the filter; tables of self-loop-only vertices
+        # stay empty and keep their labels.
+        graph = _loopy_graph()
+        fused = _run(graph, "hashtable", value_dtype=value_dtype)
+        plain = _run(graph, "hashtable", reference=True, value_dtype=value_dtype)
+        _assert_identical(fused, plain, "self-loops")
+        fresh = _run(graph, "hashtable", arena=False, value_dtype=value_dtype)
+        _assert_identical(fused, fresh, "self-loops, no arena")
+        only = [392, 395, 399]
+        assert fused.labels[only].tolist() == only
+
+
+class TestCleanTables:
+    """Round 1 writes before it reads only when the engine's tables are
+    clean: no fault hook can have planted keys since the last clear."""
+
+    @pytest.mark.parametrize("probing", list(ProbeStrategy), ids=lambda s: s.value)
+    def test_write_first_waves_find_every_live_slot_empty(self, probing):
+        real = engine_hashtable.parallel_accumulate
+        waves = {"clean": 0, "read": 0}
+
+        def spy(keys_buf, values_buf, base, p1, *args, clean=False, **kwargs):
+            waves["clean" if clean else "read"] += 1
+            if clean:
+                live, _, _ = segment_index_arrays(base, p1)
+                assert np.all(keys_buf[live] == EMPTY_KEY)
+                assert not values_buf[live].any()
+            return real(keys_buf, values_buf, base, p1, *args, clean=clean,
+                        **kwargs)
+
+        with mock.patch.object(engine_hashtable, "parallel_accumulate", spy):
+            for name in datasets.dataset_names():
+                graph = datasets.generate_standin(name, scale=0.05, seed=42)
+                nu_lpa(graph, LPAConfig(probing=probing), engine="hashtable",
+                       warn_on_no_convergence=False)
+        assert waves["clean"] > 0 and waves["read"] == 0
+
+    def test_key_planted_at_the_accumulate_point_is_read(self, small_web):
+        # A hook may write into the wave's tables just before the
+        # accumulate; round 1 must then read its slots, so the entry whose
+        # home slot holds the planted key probes past it.
+        graph = small_web
+        planted_key = graph.num_vertices + 12345
+        labels = np.arange(graph.num_vertices, dtype=VERTEX_DTYPE)
+        planted = []
+
+        def plant(ctx):
+            if ctx.phase != "accumulate" or planted:
+                return
+            v = int(ctx.wave[0])
+            first = int(labels[graph.targets[graph.offsets[v]]])
+            slot = int(ctx.base[0]) + first % int(ctx.p1[0])
+            ctx.keys[slot] = planted_key
+            planted.append(slot)
+
+        real = engine_hashtable.parallel_accumulate
+        kept = []
+
+        def spy(keys_buf, *args, clean=False, **kwargs):
+            result = real(keys_buf, *args, clean=clean, **kwargs)
+            if len(planted) > len(kept):
+                kept.append((clean, int(keys_buf[planted[-1]])))
+            return result
+
+        engine = make_engine(graph, LPAConfig(), "hashtable")
+        engine.fault_hook = plant
+        with mock.patch.object(engine_hashtable, "parallel_accumulate", spy):
+            engine.move(labels, Frontier(graph), pick_less=False, iteration=0)
+        assert kept == [(False, planted_key)]
+
+
 class TestCompactLayoutDifferential:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bit_identical_labels_and_counters(self, small_web, engine):
@@ -117,6 +216,13 @@ class TestCompactLayoutDifferential:
             )
         assert layouts == [(np.int64, np.int64)]
         _assert_identical(fast, slow, engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_self_loops_compact_vs_wide(self, engine):
+        graph = _loopy_graph()
+        compact = _run(graph, engine, compact_layout=True)
+        wide = _run(graph, engine, compact_layout=False)
+        _assert_identical(compact, wide, engine)
 
     def test_initial_labels_outside_int32_fall_back_to_wide(self, triangle):
         big = np.full(3, 2**40, dtype=VERTEX_DTYPE)

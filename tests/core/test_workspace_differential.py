@@ -66,7 +66,7 @@ class TestArenaDifferential:
         _assert_identical(on, off, engine)
 
 
-def _converge(eng, graph, config, max_iterations=64):
+def _converge(eng, graph, config, max_iterations=64, label_dtype=VERTEX_DTYPE):
     """Run full-wave moves to the fixed point; returns (labels, frontier).
 
     Pruning is disabled so *every* move — including post-convergence ones —
@@ -75,7 +75,7 @@ def _converge(eng, graph, config, max_iterations=64):
     fixed point and grows every arena slot to its high-water mark.
     """
     frontier = Frontier(graph, enabled=False, arena=eng.arena)
-    labels = np.arange(graph.num_vertices, dtype=VERTEX_DTYPE)
+    labels = np.arange(graph.num_vertices, dtype=label_dtype)
     for it in range(max_iterations):
         outcome = eng.move(
             labels, frontier, pick_less=config.pick_less_active(it),
@@ -107,13 +107,16 @@ class TestSteadyStateAllocations:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("num_vertices", [1200, 4800])
+    # Compact runs (the default) hold int32 labels; wide ids need int64.
+    @pytest.mark.parametrize("label_dtype", [np.int32, np.int64],
+                             ids=["int32-labels", "int64-labels"])
     def test_steady_state_iterations_allocate_no_arrays(
-        self, engine, num_vertices
+        self, engine, num_vertices, label_dtype
     ):
         graph = web_graph(num_vertices, avg_degree=6, seed=3)
         config = LPAConfig(pruning=False)
         eng = make_engine(graph, config, engine)
-        labels, frontier = _converge(eng, graph, config)
+        labels, frontier = _converge(eng, graph, config, label_dtype=label_dtype)
 
         grows_before = eng.arena.stats()["grows"]
         tracemalloc.start()
@@ -132,7 +135,8 @@ class TestSteadyStateAllocations:
             "arena slots grew on a steady-state move"
         )
         assert peak - before < self._SLACK_BYTES, (
-            f"steady-state {engine} iterations allocated {peak - before} bytes"
+            f"steady-state {engine} iterations with {np.dtype(label_dtype)} "
+            f"labels allocated {peak - before} bytes"
         )
 
     @pytest.mark.parametrize("engine", ENGINES)

@@ -7,7 +7,9 @@ literal_accumulate` runs Algorithm 2 as written — lockstep rounds, a CAS
 and lane-order ``atomicAdd``\\ s in every round, per-round conflict
 counts.  On any wave, up to full and overfull tables, both must leave
 bit-identical key and value buffers and report the same counters, probe
-counts and slots, or both raise :class:`HashtableFullError`.
+counts and slots, or both raise :class:`HashtableFullError`.  On fresh
+tables, the write-first round 1 (``clean=True``) must match the reading
+round 1 bit for bit.
 """
 
 from unittest import mock
@@ -85,10 +87,15 @@ def _run(accumulate, capacities, entry_table, entry_key, entry_value,
 
 
 def _assert_same(case, strategy, shared, **kwargs):
-    fast_keys, fast_values, fast = _run(parallel_accumulate, *case,
-                                        strategy, shared, **kwargs)
-    lit_keys, lit_values, lit = _run(literal_accumulate, *case,
-                                     strategy, shared, **kwargs)
+    return _assert_equal_runs(
+        _run(parallel_accumulate, *case, strategy, shared, **kwargs),
+        _run(literal_accumulate, *case, strategy, shared, **kwargs),
+    )
+
+
+def _assert_equal_runs(fast_run, lit_run):
+    fast_keys, fast_values, fast = fast_run
+    lit_keys, lit_values, lit = lit_run
     # Both claim the same slots, also when both give up.
     assert np.array_equal(fast_keys, lit_keys)
     assert (fast is None) == (lit is None)
@@ -114,6 +121,25 @@ def test_parallel_matches_literal(strategy, shared, tail, case):
     budget = 2 * max(case[0]) + 64
     with mock.patch.object(parallel_hashtable, "_SCALAR_TAIL_MAX", tail):
         _assert_same(case, strategy, shared, max_retries=budget)
+
+
+@pytest.mark.parametrize("tail", [32, 0], ids=["scalar-tail", "vectorised"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "private"])
+@pytest.mark.parametrize("strategy", list(ProbeStrategy), ids=lambda s: s.value)
+@settings(max_examples=30, deadline=None)
+@given(case=waves())
+def test_write_first_round_matches_reading_round(strategy, shared, tail, case):
+    # ``_run`` hands every call fresh tables, which is what ``clean``
+    # promises.  The reading round is checked against the literal
+    # statement above.
+    budget = 2 * max(case[0]) + 64
+    with mock.patch.object(parallel_hashtable, "_SCALAR_TAIL_MAX", tail):
+        _assert_equal_runs(
+            _run(parallel_accumulate, *case, strategy, shared,
+                 max_retries=budget, clean=True),
+            _run(parallel_accumulate, *case, strategy, shared,
+                 max_retries=budget),
+        )
 
 
 def _full_table_case(p1, seed, *, extra=0, repeats=2):

@@ -57,7 +57,7 @@ def _wrap(x: int) -> int:
 def literal_accumulate(
     keys_buf, values_buf, base, p1, p2, entry_table, entry_key, entry_value,
     strategy=ProbeStrategy.QUADRATIC_DOUBLE, *, shared=True,
-    max_retries=MAX_RETRIES, arena=None,
+    max_retries=MAX_RETRIES, clean=False, arena=None,
 ) -> WaveAccumulateResult:
     """Algorithm 2's ``hashtableAccumulate`` for every entry of a wave,
     run as lockstep probe rounds, one entry at a time.
@@ -71,7 +71,8 @@ def literal_accumulate(
     adds and its conflicts (adds minus distinct slots added to).  More
     than ``max_retries`` rounds (by default enough for the fallback to
     sweep the largest table) raise :class:`HashtableFullError`.
-    ``arena`` is accepted for call compatibility and ignored.
+    ``clean`` and ``arena`` are accepted for call compatibility and
+    ignored: every round, the first included, reads its slots.
     """
     n = len(entry_key)
     result = WaveAccumulateResult(
@@ -185,9 +186,11 @@ def reference_reduce():
         wave["base"], wave["p1"] = base, p1
         return literal_accumulate(keys_buf, values_buf, base, p1, *args, **kwargs)
 
-    # The engine always passes ``out`` and reads the winners from it.
+    # The engine always passes ``out`` and reads the winners from it; the
+    # literal reduce scans every live slot, so it needs neither the
+    # entries' table starts nor the table bases.
     def fused(keys_buf, values_buf, fallback, entry_table, entry_slot, *,
-              arena, out):
+              table_start, table_base, arena, out):
         return _literal_reduce_and_clear(
             keys_buf, values_buf, wave["base"], wave["p1"], fallback, out
         )
