@@ -1,19 +1,24 @@
-"""The instrumented ν-LPA engine: Algorithm 1 + 2 on the SIMT simulator.
+"""The engines' shared ``lpaMove`` driver and the instrumented ν-LPA engine.
 
-One :meth:`HashtableEngine.move` call is one ``lpaMove`` launch pair: the
-active vertices are split between the thread-per-vertex and block-per-vertex
-kernels (Section 4.3), each kernel executes in residency waves
-(:mod:`repro.gpu.scheduler`), and within a wave every vertex clears its
-per-vertex hashtable, accumulates its neighbours' labels through the
-simulated ``atomicCAS`` machinery, takes the most-weighted label, and —
-subject to Pick-Less — adopts it.  Label writes commit at wave boundaries,
-which is the deterministic stand-in for lockstep execution (DESIGN.md).
+:meth:`WaveEngine.move` is one ``lpaMove`` launch pair (Algorithm 1) for
+both engines: the active vertices are split between the thread- and
+block-per-vertex kernels (Section 4.3), each kernel runs in residency
+waves (:mod:`repro.gpu.scheduler`), and within a wave every vertex
+gathers its arcs, skips self-loops, takes its neighbours' most-weighted
+label and — subject to Pick-Less — adopts it.  Labels commit at wave
+boundaries, the deterministic stand-in for lockstep execution (DESIGN.md).
+Each engine implements only the label pick, as ``_select``.
 
-Every memory access class is accounted in sectors so the cost model can
-price the run: adjacency sweeps (coalesced only for the block kernel),
-per-edge label gathers (scattered), hashtable probe traffic (with linear
-probing's cache reuse), atomic read-modify-writes, clears, label commits,
-and frontier updates.
+:class:`HashtableEngine` picks through Algorithm 2's per-vertex hashtables
+and the simulated ``atomicCAS`` machinery, and accounts every memory
+access class in sectors so the cost model can price the run: adjacency
+sweeps (coalesced only for the block kernel), per-edge label gathers
+(scattered), probe traffic (with linear probing's cache reuse), atomic
+read-modify-writes, clears, label commits, and frontier updates.
+
+The driver lives here, not in a module of its own, because the
+benchmark's traced run wraps ``gather_edges``, ``partition_by_degree``,
+``pick_less_filter`` and ``plan_waves`` at the engine modules' attributes.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core._gather import gather_edges
+from repro.core._gather import EdgeGather, gather_edges
 from repro.core.config import LPAConfig
 from repro.core.kernels import partition_by_degree
 from repro.core.pruning import Frontier
@@ -42,6 +47,7 @@ from repro.hashing.hashtable import PerVertexHashtables
 # attribute because the benchmark's traced run wraps every reduce function
 # by its name in this module.
 from repro.hashing.parallel_hashtable import (
+    WaveAccumulateResult,
     fused_max_and_clear,
     parallel_accumulate,
     segmented_clear,
@@ -52,7 +58,7 @@ from repro.hashing.probing import ProbeStrategy
 from repro.perf.workspace import WorkspaceArena, compact, iota, take
 from repro.resilience.faults import FaultContext
 
-__all__ = ["MoveOutcome", "HashtableEngine"]
+__all__ = ["MoveOutcome", "WaveEngine", "HashtableEngine"]
 
 #: Sector cost of one probe beyond the first when the strategy walks
 #: adjacent slots: 8 four-byte keys share a 32-byte sector, so linear
@@ -77,14 +83,44 @@ class MoveOutcome:
     )
 
 
-class HashtableEngine:
-    """Algorithm 1's ``lpaMove`` with per-vertex hashtables and counters."""
+@dataclass
+class WaveEntries:
+    """A wave's neighbour entries, self-loops dropped, in gather order.
 
-    name = "hashtable"
+    Arena views, valid until the next wave.  ``table`` is non-decreasing.
+    """
 
-    #: Optional resilience hook (see :mod:`repro.resilience.faults`): called
-    #: with a :class:`FaultContext` at the accumulate and reduce points of
-    #: every wave.  ``None`` (the default) costs one attribute test per wave.
+    #: Wave-local index of the vertex owning each entry.
+    table: np.ndarray
+    #: The neighbour's current label.
+    keys: np.ndarray
+    #: The arc's weight, in the graph's weight dtype.
+    weights: np.ndarray
+    #: Rank of the arc within its adjacency list; only on block-kernel
+    #: waves of an engine that sets ``_needs_edge_rank``.
+    edge_rank: np.ndarray | None
+    #: The wave's full gather, self-loops included.
+    gather: EdgeGather
+    #: Which gathered arcs were kept; ``None`` on a loop-free graph.
+    non_loop: np.ndarray | None
+
+    @property
+    def count(self) -> int:
+        return int(self.keys.shape[0])
+
+
+class WaveEngine:
+    """Algorithm 1's ``lpaMove``; subclasses implement ``_select``."""
+
+    name = ""
+
+    #: Whether ``_select`` reads ``entries.edge_rank`` on block-kernel waves.
+    _needs_edge_rank = False
+
+    #: Optional resilience hook (see :mod:`repro.resilience.faults`): each
+    #: engine's ``_select`` calls it with a :class:`FaultContext` at its
+    #: fault points.  ``None`` (the default) costs one attribute test per
+    #: wave.
     fault_hook = None
 
     #: Optional :class:`~repro.observe.trace.Tracer`: receives kernel-launch
@@ -93,9 +129,8 @@ class HashtableEngine:
     tracer = None
 
     #: Optional :class:`~repro.gpu.governor.MemoryGovernor`: attached by
-    #: the driver after it has reserved this engine's initial hashtable
-    #: region, so regrow/shrink can move the charge without ever
-    #: double-counting (old region released before the new is reserved).
+    #: the driver after it has reserved the engine's initial regions, so
+    #: later charges move without ever double-counting.
     governor = None
 
     def __init__(self, graph: CSRGraph, config: LPAConfig) -> None:
@@ -105,6 +140,226 @@ class HashtableEngine:
         # Loop-free graphs (the common case; checked once, cached on the
         # graph) skip the per-wave self-loop filter entirely.
         self._loop_free = not graph.has_self_loops
+
+    def release_memory(self) -> int:
+        """Return the arena's ledger charges.
+
+        Called when the engine is discarded (supervisor fallback, end of
+        run).  Idempotent; returns the bytes released.
+        """
+        released = self.arena.release_charges()
+        self.arena.governor = None
+        self.governor = None
+        return released
+
+    # ------------------------------------------------------------------ #
+
+    def move(
+        self,
+        labels: np.ndarray,
+        frontier: Frontier,
+        *,
+        pick_less: bool,
+        iteration: int,
+    ) -> MoveOutcome:
+        """One LPA iteration over the frontier's active vertices."""
+        arena = self.arena
+        active = frontier.active_vertices()
+        counters = KernelCounters()
+
+        # Degree-0 vertices can never change label (no neighbours) and own
+        # no hashtable slots (their reserved region is 2*0); retire them.
+        # They still count as processed — the frontier flagged them done.
+        na = active.shape[0]
+        adeg = take(arena, "mv.adeg", na, self.graph.degrees.dtype)
+        self.graph.degrees.take(active, out=adeg, mode="clip")
+        zmask = take(arena, "mv.zmask", na, bool)
+        np.equal(adeg, 0, out=zmask)
+        retired = int(np.count_nonzero(zmask))
+        if retired:
+            zero = compact(arena, "mv.zero", zmask, retired, active)
+            frontier.mark_processed(zero)
+            np.logical_not(zmask, out=zmask)
+            active = compact(arena, "mv.act", zmask, na - retired, active)
+
+        tracer = self.tracer
+        tracing = tracer is not None and tracer.enabled
+        partition = partition_by_degree(
+            active, self.graph.degrees, self.config.switch_degree, arena=arena
+        )
+        changed_buf = take(arena, "mv.changed", partition.total, np.int64)
+        num_changed = 0
+        for kind in (KernelKind.THREAD_PER_VERTEX, KernelKind.BLOCK_PER_VERTEX):
+            vertices = partition.for_kind(kind)
+            if vertices.shape[0] == 0:
+                continue
+            counters.launches += 1
+            plan = plan_waves(self.config.device, kind, vertices.shape[0])
+            counters.waves += plan.num_waves
+            if tracing:
+                tracer.emit(KernelLaunchEvent(
+                    iteration=iteration,
+                    kernel=kind.value,
+                    num_items=int(vertices.shape[0]),
+                    num_waves=plan.num_waves,
+                ))
+            for wave_index, (lo, hi) in enumerate(plan):
+                wave = vertices[lo:hi]
+                before = counters.as_dict() if tracing else None
+                adopters = self._process(
+                    wave, kind, labels, frontier, pick_less, counters
+                )
+                changed_buf[num_changed : num_changed + adopters.shape[0]] = adopters
+                num_changed += adopters.shape[0]
+                if tracing:
+                    tracer.emit(WaveEvent(
+                        iteration=iteration,
+                        kernel=kind.value,
+                        wave_index=wave_index,
+                        lo=lo,
+                        hi=hi,
+                        counters=counter_delta(before, counters.as_dict()),
+                    ))
+
+        # One per-iteration copy (tiny in steady state): the scratch slot is
+        # recycled next move, but changed_vertices outlives it.
+        changed_vertices = changed_buf[:num_changed].copy()
+        counters.vertices_processed += partition.total + retired
+        return MoveOutcome(
+            changed=num_changed,
+            processed=partition.total + retired,
+            counters=counters,
+            changed_vertices=changed_vertices,
+        )
+
+    def _process(
+        self,
+        wave: np.ndarray,
+        kind: KernelKind,
+        labels: np.ndarray,
+        frontier: Frontier,
+        pick_less: bool,
+        counters: KernelCounters,
+    ) -> np.ndarray:
+        """Execute one residency wave; returns the adopting vertices.
+
+        The returned array is an arena view (``wv.adopters``), valid until
+        the next wave; ``move`` copies it into its change log immediately.
+        """
+        arena = self.arena
+        frontier.mark_processed(wave)
+        entries = self._entries(wave, kind, labels)
+        fallback, best = self._select(wave, kind, labels, entries, counters)
+
+        w = wave.shape[0]
+        adopt = pick_less_filter(
+            fallback,
+            best,
+            pick_less,
+            out=take(arena, "wv.adopt", w, bool),
+            scratch=take(arena, "wv.plsc", w, bool),
+        )
+        na_w = int(np.count_nonzero(adopt))
+        adopters, new_labels = compact(
+            arena, "wv.adopters", adopt, na_w, wave, best
+        )
+        labels[adopters] = new_labels  # wave-boundary commit
+        marked_arcs = frontier.mark_neighbors_unprocessed(adopters)
+        # Label commits and frontier marking: scattered single writes.
+        counters.sectors_written += na_w + marked_arcs
+        return adopters
+
+    def _entries(
+        self, wave: np.ndarray, kind: KernelKind, labels: np.ndarray
+    ) -> WaveEntries:
+        """Gather the wave's arcs, skip self-loops (Algorithm 1 line 23)
+        and read each remaining neighbour's label."""
+        arena = self.arena
+        graph = self.graph
+        need_rank = self._needs_edge_rank and kind is KernelKind.BLOCK_PER_VERTEX
+        gather = gather_edges(graph, wave, arena, need_rank=need_rank)
+        ne = gather.num_edges
+        targets = take(arena, "wv.tg", ne, graph.targets.dtype)
+        graph.targets.take(gather.edge_index, out=targets, mode="clip")
+        if targets.dtype != np.int64:
+            # Compact graphs gather 4-byte ids (half the sector traffic),
+            # but indexing labels with an int32 array makes numpy malloc
+            # an intp copy of it per take; widen once into an arena slot
+            # so steady-state waves stay allocation-free.
+            wide_targets = take(arena, "wv.tg64", ne, np.int64)
+            np.copyto(wide_targets, targets)
+            targets = wide_targets
+        weights = take(arena, "wv.w", ne, graph.weights.dtype)
+        graph.weights.take(gather.edge_index, out=weights, mode="clip")
+
+        # On a loop-free graph the filter is an identity copy, so the
+        # gather feeds straight through.
+        table, edge_rank, non_loop = gather.table_id, gather.edge_rank, None
+        if not self._loop_free:
+            owner = take(arena, "wv.owner", ne, np.int64)
+            wave.take(gather.table_id, out=owner, mode="clip")
+            non_loop = take(arena, "wv.nl", ne, bool)
+            np.not_equal(targets, owner, out=non_loop)
+            columns = (table, targets, weights, edge_rank)[: 4 if need_rank else 3]
+            table, targets, weights, *rank = compact(
+                arena, "wv.nl", non_loop, int(np.count_nonzero(non_loop)),
+                *columns,
+            )
+            edge_rank = rank[0] if need_rank else None
+
+        keys = take(arena, "wv.keys", targets.shape[0], labels.dtype)
+        labels.take(targets, out=keys, mode="clip")
+        return WaveEntries(table, keys, weights, edge_rank, gather, non_loop)
+
+    def _fault(
+        self,
+        phase: str,
+        kind: KernelKind,
+        wave: np.ndarray,
+        labels: np.ndarray,
+        **buffers: np.ndarray,
+    ) -> None:
+        """Call the fault hook, if one is attached, at one of ``_select``'s
+        fault points; ``buffers`` are the engine's :class:`FaultContext`
+        buffer fields."""
+        if self.fault_hook is not None:
+            self.fault_hook(FaultContext(
+                phase=phase,
+                engine=self.name,
+                kernel=kind,
+                device=self.config.device,
+                wave=wave,
+                labels=labels,
+                **buffers,
+            ))
+
+    def _select(
+        self,
+        wave: np.ndarray,
+        kind: KernelKind,
+        labels: np.ndarray,
+        entries: WaveEntries,
+        counters: KernelCounters,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each wave vertex's current and most-weighted label.
+
+        Returns ``(fallback, best)``; a vertex without entries keeps its
+        label in ``best``.  Reads the fallback labels only after the fault
+        hook, which may rewrite ``labels``; adds the wave's counters
+        except its label-commit and frontier traffic.
+        """
+        raise NotImplementedError
+
+
+class HashtableEngine(WaveEngine):
+    """Algorithm 1's ``lpaMove`` with per-vertex hashtables and counters."""
+
+    name = "hashtable"
+
+    _needs_edge_rank = True
+
+    def __init__(self, graph: CSRGraph, config: LPAConfig) -> None:
+        super().__init__(graph, config)
         self.tables = PerVertexHashtables(
             graph, value_dtype=config.value_dtype, strategy=config.probing
         )
@@ -191,210 +446,56 @@ class HashtableEngine:
         return scale
 
     def release_memory(self) -> int:
-        """Return every ledger charge this engine owns (tables + arena).
-
-        Called when the engine is discarded (supervisor fallback, end of
-        run).  Idempotent; returns the bytes released.
-        """
+        """Return every ledger charge this engine owns (tables + arena)."""
         released = 0
         if self.governor is not None:
             released = self.tables.memory_bytes()
             self.governor.release("hashtable", released)
-            self.governor = None
-        released += self.arena.release_charges()
-        self.arena.governor = None
-        return released
+        return released + super().release_memory()
 
     # ------------------------------------------------------------------ #
 
-    def move(
-        self,
-        labels: np.ndarray,
-        frontier: Frontier,
-        *,
-        pick_less: bool,
-        iteration: int,
-    ) -> MoveOutcome:
-        """One LPA iteration over the frontier's active vertices."""
-        arena = self.arena
-        active = frontier.active_vertices()
-        counters = KernelCounters()
+    def _select(self, wave, kind, labels, entries, counters):
+        """Accumulate the entries into the wave's tables and take each
+        table's most-weighted key (Algorithm 2).
 
-        # Degree-0 vertices can never change label (no neighbours) and own
-        # no hashtable slots (their reserved region is 2*0); retire them.
-        # They still count as processed — the frontier flagged them done.
-        na = active.shape[0]
-        adeg = take(arena, "hv.adeg", na, self.graph.degrees.dtype)
-        self.graph.degrees.take(active, out=adeg, mode="clip")
-        zmask = take(arena, "hv.zmask", na, bool)
-        np.equal(adeg, 0, out=zmask)
-        retired = int(np.count_nonzero(zmask))
-        if retired:
-            zero = compact(arena, "hv.zero", zmask, retired, active)
-            frontier.mark_processed(zero)
-            np.logical_not(zmask, out=zmask)
-            active = compact(arena, "hv.act", zmask, na - retired, active)
-
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
-        partition = partition_by_degree(
-            active, self.graph.degrees, self.config.switch_degree, arena=arena
-        )
-        changed_buf = take(arena, "hv.changed", partition.total, np.int64)
-        num_changed = 0
-        for kind in (KernelKind.THREAD_PER_VERTEX, KernelKind.BLOCK_PER_VERTEX):
-            vertices = partition.for_kind(kind)
-            if vertices.shape[0] == 0:
-                continue
-            counters.launches += 1
-            plan = plan_waves(self.config.device, kind, vertices.shape[0])
-            counters.waves += plan.num_waves
-            if tracing:
-                tracer.emit(KernelLaunchEvent(
-                    iteration=iteration,
-                    kernel=kind.value,
-                    num_items=int(vertices.shape[0]),
-                    num_waves=plan.num_waves,
-                ))
-            for wave_index, (lo, hi) in enumerate(plan):
-                wave = vertices[lo:hi]
-                before = counters.as_dict() if tracing else None
-                adopters = self._process_wave(
-                    wave, kind, labels, frontier, pick_less, counters
-                )
-                changed_buf[num_changed : num_changed + adopters.shape[0]] = adopters
-                num_changed += adopters.shape[0]
-                if tracing:
-                    tracer.emit(WaveEvent(
-                        iteration=iteration,
-                        kernel=kind.value,
-                        wave_index=wave_index,
-                        lo=lo,
-                        hi=hi,
-                        counters=counter_delta(before, counters.as_dict()),
-                    ))
-
-        # One per-iteration copy (tiny in steady state): the scratch slot is
-        # recycled next move, but changed_vertices outlives it.
-        changed_vertices = changed_buf[:num_changed].copy()
-        counters.vertices_processed += partition.total + retired
-        return MoveOutcome(
-            changed=num_changed,
-            processed=partition.total + retired,
-            counters=counters,
-            changed_vertices=changed_vertices,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _process_wave(
-        self,
-        wave: np.ndarray,
-        kind: KernelKind,
-        labels: np.ndarray,
-        frontier: Frontier,
-        pick_less: bool,
-        counters: KernelCounters,
-    ) -> np.ndarray:
-        """Execute one residency wave; returns the adopting vertices.
-
-        The returned array is an arena view (``hw.adopters``), valid until
-        the next wave; ``move`` copies it into its change log immediately.
+        The fault hook runs at the accumulate and the reduce points.
         """
         arena = self.arena
-        device = self.config.device
-        frontier.mark_processed(wave)
-
-        # Edge ranks are only consumed by the block kernel's lane
-        # striding; the thread kernel skips computing them entirely.
-        need_rank = kind is KernelKind.BLOCK_PER_VERTEX
-        gather = gather_edges(self.graph, wave, arena, need_rank=need_rank)
-        ne = gather.num_edges
-        targets = take(arena, "hw.tg", ne, self.graph.targets.dtype)
-        self.graph.targets.take(gather.edge_index, out=targets, mode="clip")
-        if targets.dtype != np.int64:
-            # Compact graphs gather 4-byte ids (half the sector traffic),
-            # but indexing labels with an int32 array makes numpy malloc
-            # an intp copy of it per take; widen once into an arena slot
-            # so steady-state waves stay allocation-free.
-            wide_targets = take(arena, "hw.tg64", ne, np.int64)
-            np.copyto(wide_targets, targets)
-            targets = wide_targets
-        weights = take(arena, "hw.w", ne, self.graph.weights.dtype)
-        self.graph.weights.take(gather.edge_index, out=weights, mode="clip")
-
-        # Algorithm 1 line 23: skip self-loops during accumulation.  On a
-        # loop-free graph the filter is an identity copy, so feed the
-        # gather straight through instead.
-        if self._loop_free:
-            m = ne
-            entry_table = gather.table_id
-            table_start = gather.table_start
-            edge_rank = gather.edge_rank
-            entry_key = take(arena, "hw.ek", ne, labels.dtype)
-            labels.take(targets, out=entry_key, mode="clip")
-            if weights.dtype == self.tables.values.dtype:
-                entry_value = weights
-            else:
-                entry_value = take(arena, "hw.ev", ne, self.tables.values.dtype)
-                np.copyto(entry_value, weights, casting="unsafe")
-        else:
-            owner = take(arena, "hw.owner", ne, np.int64)
-            wave.take(gather.table_id, out=owner, mode="clip")
-            non_loop = take(arena, "hw.nl", ne, bool)
-            np.not_equal(targets, owner, out=non_loop)
-            m = int(np.count_nonzero(non_loop))
-            if need_rank:
-                entry_table, tgt_nl, wnl, edge_rank = compact(
-                    arena, "hw.nl", non_loop, m,
-                    gather.table_id, targets, weights, gather.edge_rank,
-                )
-            else:
-                entry_table, tgt_nl, wnl = compact(
-                    arena, "hw.nl", non_loop, m,
-                    gather.table_id, targets, weights,
-                )
-                edge_rank = None
-            # Each table's first entry is the number of kept arcs before
-            # its first arc; a vertex whose every arc is a self-loop keeps
-            # no entry, and its run is empty.
-            kept = take(arena, "hw.kept", ne + 1, np.int64)
-            kept[0] = 0
-            np.copyto(kept[1:], non_loop, casting="unsafe")
-            np.cumsum(kept, out=kept)
-            table_start = take(arena, "hw.ts", wave.shape[0], np.int64)
-            kept.take(gather.table_start, out=table_start, mode="clip")
-            entry_key = take(arena, "hw.ek", m, labels.dtype)
-            labels.take(tgt_nl, out=entry_key, mode="clip")
-            entry_value = take(arena, "hw.ev", m, self.tables.values.dtype)
-            np.copyto(entry_value, wnl, casting="unsafe")
+        tables = self.tables
+        table_start = self._table_starts(wave, entries)
+        entry_value = entries.weights
+        if entry_value.dtype != tables.values.dtype:
+            entry_value = take(arena, "hw.ev", entries.count, tables.values.dtype)
+            np.copyto(entry_value, entries.weights, casting="unsafe")
 
         w = wave.shape[0]
         base = take(arena, "hw.base", w, np.int64)
-        self.tables.bases.take(wave, out=base, mode="clip")
+        tables.bases.take(wave, out=base, mode="clip")
         p1 = take(arena, "hw.p1", w, np.int64)
-        self.tables.capacities.take(wave, out=p1, mode="clip")
+        tables.capacities.take(wave, out=p1, mode="clip")
         p2 = take(arena, "hw.p2", w, np.int64)
-        self.tables.secondary_primes.take(wave, out=p2, mode="clip")
+        tables.secondary_primes.take(wave, out=p2, mode="clip")
 
-        if self.fault_hook is not None:
-            self.fault_hook(self._fault_context("accumulate", kind, wave, labels, base, p1))
+        self._fault(
+            "accumulate", kind, wave, labels,
+            keys=tables.keys, values=tables.values, base=base, p1=p1,
+        )
 
         # Fused sweep: tables are already clean (the init fill / the
         # previous wave's clear-at-end), so there is no up-front clear;
         # the reduce reads and re-clears exactly the entries' slots.  The
         # kernel model still prices the full per-table clear the GPU's
         # fused kernel does in-register.
-        cleared = int(p1.sum())
         try:
             acc = parallel_accumulate(
-                self.tables.keys,
-                self.tables.values,
+                tables.keys,
+                tables.values,
                 base,
                 p1,
                 p2,
-                entry_table,
-                entry_key,
+                entries.table,
+                entries.keys,
                 entry_value,
                 self.config.probing,
                 shared=kind.uses_atomics,
@@ -402,22 +503,23 @@ class HashtableEngine:
                 arena=arena,
             )
             warp_serial = self._warp_critical_path(
-                kind, wave, entry_table, table_start, edge_rank, acc.entry_probes
+                kind, wave, entries.table, table_start, entries.edge_rank,
+                acc.entry_probes,
             )
 
-            if self.fault_hook is not None:
-                self.fault_hook(
-                    self._fault_context("reduce", kind, wave, labels, base, p1)
-                )
+            self._fault(
+                "reduce", kind, wave, labels,
+                keys=tables.keys, values=tables.values, base=base, p1=p1,
+            )
 
             fallback = take(arena, "hw.fb", w, labels.dtype)
             labels.take(wave, out=fallback, mode="clip")
             best = take(arena, "hw.best", w, labels.dtype)
             fused_max_and_clear(
-                self.tables.keys,
-                self.tables.values,
+                tables.keys,
+                tables.values,
                 fallback,
-                entry_table,
+                entries.table,
                 acc.entry_slot,
                 table_start=table_start,
                 table_base=base,
@@ -429,80 +531,62 @@ class HashtableEngine:
             # claimed slot lies in this wave's tables, so clearing them
             # whole hands the ladder clean tables (on fresh scratch, so
             # the governor cannot refuse it).
-            segmented_clear(self.tables.keys, self.tables.values, base, p1)
+            segmented_clear(tables.keys, tables.values, base, p1)
             raise
 
-        adopt = pick_less_filter(
-            fallback,
-            best,
-            pick_less,
-            out=take(arena, "hw.adopt", w, bool),
-            scratch=take(arena, "hw.plsc", w, bool),
-        )
-        na_w = int(np.count_nonzero(adopt))
-        adopters, new_labels = compact(
-            arena, "hw.adopters", adopt, na_w, wave, best
-        )
-        labels[adopters] = new_labels  # wave-boundary commit
-        marked_arcs = frontier.mark_neighbors_unprocessed(adopters)
+        self._account(counters, kind, wave, entries.table, p1, acc, warp_serial)
+        return fallback, best
 
-        # Shared-memory tables (ablation A3): qualifying thread-kernel
-        # vertices keep their table traffic on-chip.
-        smem_entries = smem_probes = 0
-        if (
+    def _table_starts(self, wave: np.ndarray, entries: WaveEntries) -> np.ndarray:
+        """Index of each table's first entry, after the self-loop filter.
+
+        That is the number of kept arcs before the table's first arc; a
+        vertex whose every arc is a self-loop keeps no entry, and its run
+        is empty.
+        """
+        gather = entries.gather
+        if entries.non_loop is None:
+            return gather.table_start
+        arena = self.arena
+        kept = take(arena, "hw.kept", gather.num_edges + 1, np.int64)
+        kept[0] = 0
+        np.copyto(kept[1:], entries.non_loop, casting="unsafe")
+        np.cumsum(kept, out=kept)
+        table_start = take(arena, "hw.ts", wave.shape[0], np.int64)
+        kept.take(gather.table_start, out=table_start, mode="clip")
+        return table_start
+
+    def _smem_share(
+        self,
+        kind: KernelKind,
+        wave: np.ndarray,
+        entry_table: np.ndarray,
+        entry_probes: np.ndarray,
+    ) -> tuple[int, int]:
+        """Entries and probes whose traffic shared-memory tables keep
+        on-chip (ablation A3): qualifying thread-kernel vertices only."""
+        if not (
             self.config.shared_memory_tables
             and kind is KernelKind.THREAD_PER_VERTEX
         ):
-            wdeg = take(arena, "hw.wdeg", w, self.graph.degrees.dtype)
-            self.graph.degrees.take(wave, out=wdeg, mode="clip")
-            smem_mask = take(arena, "hw.smv", w, bool)
-            np.less_equal(wdeg, self._smem_degree_limit, out=smem_mask)
-            if smem_mask.any():
-                entry_is_smem = take(arena, "hw.sme", m, bool)
-                smem_mask.take(entry_table, out=entry_is_smem, mode="clip")
-                # Tiny tables are already mostly L2-resident, so moving them
-                # to shared memory only saves the fraction of their traffic
-                # that would have reached the cache hierarchy at cost —
-                # the reason the paper saw "little to no gain".
-                saving = _SMEM_SAVING_FACTOR
-                smem_entries = int(np.count_nonzero(entry_is_smem) * saving)
-                smem_probes = int(
-                    acc.entry_probes.sum(where=entry_is_smem) * saving
-                )
-
-        self._account(
-            counters,
-            kind=kind,
-            wave=wave,
-            num_entries=m,
-            cleared=cleared,
-            acc_probes=acc.total_probes,
-            warp_serial=warp_serial,
-            cas=acc.cas_attempts,
-            adds=acc.atomic_adds,
-            conflicts=acc.atomic_conflicts,
-            adopters=int(adopters.shape[0]),
-            marked_arcs=marked_arcs,
-            p1=p1,
-            smem_entries=smem_entries,
-            smem_probes=smem_probes,
-        )
-        return adopters
-
-    # ------------------------------------------------------------------ #
-
-    def _fault_context(self, phase, kind, wave, labels, base, p1) -> FaultContext:
-        return FaultContext(
-            phase=phase,
-            engine=self.name,
-            kernel=kind,
-            device=self.config.device,
-            wave=wave,
-            labels=labels,
-            keys=self.tables.keys,
-            values=self.tables.values,
-            base=base,
-            p1=p1,
+            return 0, 0
+        arena = self.arena
+        w = wave.shape[0]
+        wdeg = take(arena, "hw.wdeg", w, self.graph.degrees.dtype)
+        self.graph.degrees.take(wave, out=wdeg, mode="clip")
+        smem_mask = take(arena, "hw.smv", w, bool)
+        np.less_equal(wdeg, self._smem_degree_limit, out=smem_mask)
+        if not smem_mask.any():
+            return 0, 0
+        entry_is_smem = take(arena, "hw.sme", entry_table.shape[0], bool)
+        smem_mask.take(entry_table, out=entry_is_smem, mode="clip")
+        # Tiny tables are already mostly L2-resident, so moving them to
+        # shared memory only saves the fraction of their traffic that
+        # would have reached the cache hierarchy at cost — the reason the
+        # paper saw "little to no gain".
+        return (
+            int(np.count_nonzero(entry_is_smem) * _SMEM_SAVING_FACTOR),
+            int(entry_probes.sum(where=entry_is_smem) * _SMEM_SAVING_FACTOR),
         )
 
     # ------------------------------------------------------------------ #
@@ -581,41 +665,38 @@ class HashtableEngine:
     def _account(
         self,
         counters: KernelCounters,
-        *,
         kind: KernelKind,
         wave: np.ndarray,
-        num_entries: int,
-        cleared: int,
-        acc_probes: int,
-        warp_serial: int,
-        cas: int,
-        adds: int,
-        conflicts: int,
-        adopters: int,
-        marked_arcs: int,
+        entry_table: np.ndarray,
         p1: np.ndarray,
-        smem_entries: int = 0,
-        smem_probes: int = 0,
+        acc: WaveAccumulateResult,
+        warp_serial: int,
     ) -> None:
         """Convert the wave's events into counter increments.
 
-        ``smem_entries``/``smem_probes`` are the portion of the workload
-        whose tables live in shared memory (ablation A3): their probe and
-        value traffic stays on-chip, and ``p1`` already excludes their
-        clear/max-reduce slots.
+        Entries whose tables qualify for shared memory (ablation A3,
+        :meth:`_smem_share`) keep their probe and value traffic on-chip.
+        ``p1`` holds every table of the wave, shared-memory ones included,
+        so the clear and max-reduce sweeps below charge all their slots
+        as global traffic.  Label commits and frontier marking are the
+        driver's to charge.
         """
+        smem_entries, smem_probes = self._smem_share(
+            kind, wave, entry_table, acc.entry_probes
+        )
+        num_entries = entry_table.shape[0]
         arena = self.arena
         mem = self.memory
         degrees = take(arena, "ac.deg", wave.shape[0], self.graph.degrees.dtype)
         self.graph.degrees.take(wave, out=degrees, mode="clip")
 
         counters.edges_scanned += num_entries
-        counters.probes += acc_probes
+        counters.probes += acc.total_probes
         counters.warp_serial_probes += warp_serial
-        counters.atomic_cas += cas
-        counters.atomic_add += adds
-        counters.atomic_conflicts += conflicts
-        counters.slots_cleared += cleared
+        counters.atomic_cas += acc.cas_attempts
+        counters.atomic_add += acc.atomic_adds
+        counters.atomic_conflicts += acc.atomic_conflicts
+        counters.slots_cleared += int(p1.sum())
 
         # Adjacency sweep (targets + weights, 4 bytes each): the block
         # kernel's lanes read each list contiguously; the thread kernel's
@@ -636,7 +717,7 @@ class HashtableEngine:
         # key read; extra probes are scattered except under linear probing,
         # where successive slots share sectors.  Shared-memory tables keep
         # their probes on-chip.
-        global_probes = acc_probes - smem_probes
+        global_probes = acc.total_probes - smem_probes
         global_entries = num_entries - smem_entries
         extra_probes = max(0, global_probes - global_entries)
         if self.config.probing is ProbeStrategy.LINEAR:
@@ -663,6 +744,3 @@ class HashtableEngine:
         counters.sectors_read += mem.sectors_for_segments(
             p1, 4 + value_bytes, AccessPattern.COALESCED, arena=arena
         )
-
-        # Label commits and frontier marking: scattered single writes.
-        counters.sectors_written += adopters + marked_arcs

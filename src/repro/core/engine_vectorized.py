@@ -1,8 +1,9 @@
 """The fast ν-LPA engine: sort-based group-by label selection.
 
-Identical driver semantics to :class:`~repro.core.engine_hashtable.
-HashtableEngine` — same wave structure, same Pick-Less filter, same pruning
-— but the per-vertex "most weighted label" is computed with a packed sort +
+Runs the hashtable engine's driver, :class:`~repro.core.engine_hashtable.
+WaveEngine` — same wave structure, same self-loop filter, same Pick-Less
+filter, same pruning — and implements only its ``_select`` hook: the
+per-vertex "most weighted label" is computed with a packed sort +
 segmented reduce instead of simulated hashtables, making it the engine of
 choice for applications (an order of magnitude faster in pure NumPy).
 
@@ -27,24 +28,17 @@ from __future__ import annotations
 
 import numpy as np
 
+# ``gather_edges``, ``partition_by_degree``, ``pick_less_filter`` and
+# ``plan_waves`` are not called here (the driver in ``engine_hashtable``
+# calls them); they stay bound at these module attributes because the
+# benchmark's traced run wraps each by its name in this module.
 from repro.core._gather import gather_edges
-from repro.core.config import LPAConfig
-from repro.core.engine_hashtable import MoveOutcome
+from repro.core.engine_hashtable import WaveEngine
 from repro.core.kernels import partition_by_degree
-from repro.core.pruning import Frontier
 from repro.core.swap_prevention import pick_less_filter
-from repro.gpu.kernel import KernelKind
-from repro.gpu.metrics import KernelCounters
 from repro.gpu.scheduler import plan_waves
-from repro.graph.csr import CSRGraph
 from repro.hashing.parallel_hashtable import order_code_f32
-from repro.observe.trace import (
-    KernelLaunchEvent,
-    WaveEvent,
-    counter_delta,
-)
 from repro.perf.workspace import WorkspaceArena, compact, iota, take
-from repro.resilience.faults import FaultContext
 
 __all__ = ["VectorizedEngine", "best_labels_groupby"]
 
@@ -372,204 +366,33 @@ def _winners_encoded(
     np.copyto(out, best, casting="unsafe", where=present)
 
 
-class VectorizedEngine:
+class VectorizedEngine(WaveEngine):
     """``lpaMove`` via segmented group-by; application fast path."""
 
     name = "vectorized"
 
-    #: Optional resilience hook (see :mod:`repro.resilience.faults`): called
-    #: with a :class:`FaultContext` once per wave, before the group-by
-    #: reduction.  ``None`` (the default) costs one attribute test per wave.
-    fault_hook = None
+    def _select(self, wave, kind, labels, entries, counters):
+        """Group the entries by ``(vertex, label)`` and take each vertex's
+        heaviest group (:func:`best_labels_groupby`).
 
-    #: Optional :class:`~repro.observe.trace.Tracer` (same contract as the
-    #: hashtable engine); this engine's counters are coarse, so wave deltas
-    #: carry traffic and edge counts but no probe/atomic detail.
-    tracer = None
-
-    #: Optional :class:`~repro.gpu.governor.MemoryGovernor` (same contract
-    #: as the hashtable engine); this engine owns no hashtable region, so
-    #: only its arena charges the ledger.
-    governor = None
-
-    def __init__(self, graph: CSRGraph, config: LPAConfig) -> None:
-        self.graph = graph
-        self.config = config
-        self.arena = WorkspaceArena()
-        self._accum_dtype = np.dtype(config.value_dtype)
-        # Loop-free graphs (the common case; checked once, cached on the
-        # graph) skip the per-wave self-loop filter entirely.
-        self._loop_free = not graph.has_self_loops
-
-    def release_memory(self) -> int:
-        """Return every ledger charge this engine owns (arena only).
-
-        Same contract as the hashtable engine's ``release_memory``:
-        idempotent, returns the bytes released.
+        The fault hook runs once, with ``phase="reduce"``, on the wave's
+        gathered keys: a bit flip there corrupts the wave without touching
+        the committed labels.
         """
-        released = self.arena.release_charges()
-        self.arena.governor = None
-        self.governor = None
-        return released
-
-    def move(
-        self,
-        labels: np.ndarray,
-        frontier: Frontier,
-        *,
-        pick_less: bool,
-        iteration: int,
-    ) -> MoveOutcome:
-        """One LPA iteration over the frontier's active vertices."""
+        self._fault("reduce", kind, wave, labels, keys=entries.keys)
         arena = self.arena
-        active = frontier.active_vertices()
-        counters = KernelCounters()
-
-        # Degree-0 vertices can never change label; retire them up front
-        # (mirrors the hashtable engine, which has no slots for them).
-        # They still count as processed — the frontier flagged them done.
-        na = active.shape[0]
-        adeg = take(arena, "mv.adeg", na, self.graph.degrees.dtype)
-        self.graph.degrees.take(active, out=adeg, mode="clip")
-        zmask = take(arena, "mv.zmask", na, bool)
-        np.equal(adeg, 0, out=zmask)
-        retired = int(np.count_nonzero(zmask))
-        if retired:
-            zero = compact(arena, "mv.zero", zmask, retired, active)
-            frontier.mark_processed(zero)
-            np.logical_not(zmask, out=zmask)
-            active = compact(arena, "mv.act", zmask, na - retired, active)
-
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
-        partition = partition_by_degree(
-            active, self.graph.degrees, self.config.switch_degree, arena=arena
+        w = wave.shape[0]
+        fallback = take(arena, "vx.fb", w, labels.dtype)
+        labels.take(wave, out=fallback, mode="clip")
+        best = best_labels_groupby(
+            entries.table,
+            entries.keys,
+            entries.weights,
+            fallback,
+            accum_dtype=self.config.value_dtype,
+            arena=arena,
+            out=take(arena, "vx.best", w, labels.dtype),
         )
-        changed_buf = take(arena, "mv.changed", partition.total, np.int64)
-        num_changed = 0
-        for kind in (KernelKind.THREAD_PER_VERTEX, KernelKind.BLOCK_PER_VERTEX):
-            vertices = partition.for_kind(kind)
-            if vertices.shape[0] == 0:
-                continue
-            counters.launches += 1
-            plan = plan_waves(self.config.device, kind, vertices.shape[0])
-            counters.waves += plan.num_waves
-            if tracing:
-                tracer.emit(KernelLaunchEvent(
-                    iteration=iteration,
-                    kernel=kind.value,
-                    num_items=int(vertices.shape[0]),
-                    num_waves=plan.num_waves,
-                ))
-            for wave_index, (lo, hi) in enumerate(plan):
-                wave = vertices[lo:hi]
-                before = counters.as_dict() if tracing else None
-                frontier.mark_processed(wave)
-
-                gather = gather_edges(self.graph, wave, arena, need_rank=False)
-                ne = gather.num_edges
-                targets = take(arena, "mv.tg", ne, self.graph.targets.dtype)
-                self.graph.targets.take(gather.edge_index, out=targets, mode="clip")
-                if targets.dtype != np.int64:
-                    # Indexing labels with an int32 array makes numpy
-                    # malloc an intp copy per take; widen once into an
-                    # arena slot to keep steady-state waves allocation-free.
-                    wide_targets = take(arena, "mv.tg64", ne, np.int64)
-                    np.copyto(wide_targets, targets)
-                    targets = wide_targets
-                if self._loop_free:
-                    # No self-loops anywhere: the loop filter would be an
-                    # identity copy, so feed the gather straight through.
-                    m = ne
-                    table_id = gather.table_id
-                    tgt_nl = targets
-                    values = take(arena, "mv.val", ne, self.graph.weights.dtype)
-                    self.graph.weights.take(
-                        gather.edge_index, out=values, mode="clip"
-                    )
-                else:
-                    owner = take(arena, "mv.owner", ne, wave.dtype)
-                    wave.take(gather.table_id, out=owner, mode="clip")
-                    non_loop = take(arena, "mv.nl", ne, bool)
-                    np.not_equal(targets, owner, out=non_loop)
-                    m = int(np.count_nonzero(non_loop))
-
-                    wts = take(arena, "mv.w", ne, self.graph.weights.dtype)
-                    self.graph.weights.take(
-                        gather.edge_index, out=wts, mode="clip"
-                    )
-                    table_id, tgt_nl, values = compact(
-                        arena, "mv.nl", non_loop, m,
-                        gather.table_id, targets, wts,
-                    )
-                keys = take(arena, "mv.keys", m, labels.dtype)
-                labels.take(tgt_nl, out=keys, mode="clip")
-
-                if self.fault_hook is not None:
-                    # `keys` is this wave's working set (a fresh gather), so
-                    # a bit flip here corrupts the wave without touching the
-                    # committed labels.
-                    self.fault_hook(
-                        FaultContext(
-                            phase="reduce",
-                            engine=self.name,
-                            kernel=kind,
-                            device=self.config.device,
-                            wave=wave,
-                            labels=labels,
-                            keys=keys,
-                        )
-                    )
-
-                w = wave.shape[0]
-                fallback = take(arena, "mv.fb", w, labels.dtype)
-                labels.take(wave, out=fallback, mode="clip")
-                best = best_labels_groupby(
-                    table_id,
-                    keys,
-                    values,
-                    fallback,
-                    accum_dtype=self._accum_dtype,
-                    arena=arena,
-                    out=take(arena, "mv.best", w, labels.dtype),
-                )
-
-                adopt = pick_less_filter(
-                    fallback,
-                    best,
-                    pick_less,
-                    out=take(arena, "mv.adopt", w, bool),
-                    scratch=take(arena, "mv.plsc", w, bool),
-                )
-                na_w = int(np.count_nonzero(adopt))
-                adopters, new_labels = compact(
-                    arena, "mv.adopters", adopt, na_w, wave, best
-                )
-                labels[adopters] = new_labels
-                marked = frontier.mark_neighbors_unprocessed(adopters)
-                changed_buf[num_changed : num_changed + na_w] = adopters
-                num_changed += na_w
-
-                counters.edges_scanned += m
-                counters.sectors_read += 2 * m
-                counters.sectors_written += na_w + marked
-                if tracing:
-                    tracer.emit(WaveEvent(
-                        iteration=iteration,
-                        kernel=kind.value,
-                        wave_index=wave_index,
-                        lo=lo,
-                        hi=hi,
-                        counters=counter_delta(before, counters.as_dict()),
-                    ))
-
-        # One per-iteration copy (tiny in steady state): the scratch slot is
-        # recycled next move, but changed_vertices outlives it.
-        changed_vertices = changed_buf[:num_changed].copy()
-        counters.vertices_processed += partition.total + retired
-        return MoveOutcome(
-            changed=num_changed,
-            processed=partition.total + retired,
-            counters=counters,
-            changed_vertices=changed_vertices,
-        )
+        counters.edges_scanned += entries.count
+        counters.sectors_read += 2 * entries.count
+        return fallback, best

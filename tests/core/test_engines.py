@@ -1,8 +1,11 @@
 """Engine-level tests: one lpaMove at a time."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import engine_hashtable, engine_vectorized
 from repro.core.config import LPAConfig
 from repro.core.engine_hashtable import HashtableEngine
 from repro.core.engine_vectorized import VectorizedEngine, best_labels_groupby
@@ -118,6 +121,29 @@ class TestMove:
         assert out.counters.vertices_processed == 5
         active = frontier.active_vertices()
         assert 3 not in active and 4 not in active
+
+    @pytest.mark.parametrize("name", [
+        "gather_edges", "partition_by_degree", "pick_less_filter", "plan_waves",
+    ])
+    def test_driver_calls_helpers_by_engine_hashtable_attribute(
+        self, small_web, engine_cls, name
+    ):
+        # Both engines run the one driver in engine_hashtable, which looks
+        # these helpers up at that module's attributes: the benchmark's
+        # traced run wraps them there (and at engine_vectorized's copies).
+        real = getattr(engine_hashtable, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        engine = engine_cls(small_web, LPAConfig())
+        labels = np.arange(small_web.num_vertices, dtype=VERTEX_DTYPE)
+        with mock.patch.object(engine_hashtable, name, spy):
+            engine.move(labels, Frontier(small_web), pick_less=False, iteration=0)
+        assert calls
+        assert getattr(engine_vectorized, name) is real
 
 
 class TestValueDtypeFidelity:

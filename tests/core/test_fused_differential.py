@@ -66,14 +66,16 @@ def _run(graph, engine, *, reference=False, arena=True, **config_kwargs):
     with contextlib.ExitStack() as stack:
         if reference:
             stack.enter_context(reference_reduce())
-        if not arena:
-            stack.enter_context(no_arena())
-        return nu_lpa(
+        engines = None if arena else stack.enter_context(no_arena())
+        result = nu_lpa(
             graph,
             LPAConfig(**config_kwargs),
             engine=engine,
             warn_on_no_convergence=False,
         )
+    if engines is not None:
+        assert engines and all(e.arena is None for e in engines)
+    return result
 
 
 def _assert_identical(a, b, context):

@@ -13,8 +13,9 @@ statements below, swapped in for the duration of a ``with`` block:
   ``hashtableMaxKey`` as a per-table Python loop over *every* live slot,
   so it relies neither on the entries' slots nor on vectorised masking —
   followed by a full per-table ``hashtableClear``;
-* :func:`no_arena` builds both engines without a workspace arena, so
-  every kernel runs the same arithmetic on freshly allocated buffers;
+* :func:`no_arena` builds the engines without a workspace arena, so
+  every kernel runs the same arithmetic on freshly allocated buffers,
+  and yields the engines it built;
 * :func:`engine_layouts` records the offsets/targets dtypes of every
   graph ``nu_lpa`` builds an engine on, so a differential run can prove
   its reference side really ran wide (graphs are stored compact).
@@ -30,7 +31,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.core import engine_hashtable, engine_vectorized, lpa
+from repro.core import engine_hashtable, lpa
 from repro.errors import HashtableFullError
 from repro.hashing.hashtable import MAX_RETRIES
 from repro.hashing.parallel_hashtable import WaveAccumulateResult
@@ -208,10 +209,23 @@ def reference_reduce():
 
 @contextmanager
 def no_arena():
-    """Build both engines with ``arena=None`` (fresh buffers per kernel)."""
+    """Build every engine with ``arena=None`` (fresh buffers per kernel).
+
+    Patches the one construction site, :class:`~repro.core.engine_hashtable.
+    WaveEngine`, and yields the list of engines ``nu_lpa`` builds inside
+    the block, so a test can check each really ran without an arena.
+    """
+    engines = []
+    make_engine = lpa.make_engine
+
+    def recording(graph, config, engine):
+        built = make_engine(graph, config, engine)
+        engines.append(built)
+        return built
+
     with mock.patch.object(engine_hashtable, "WorkspaceArena", lambda: None), \
-            mock.patch.object(engine_vectorized, "WorkspaceArena", lambda: None):
-        yield
+            mock.patch.object(lpa, "make_engine", recording):
+        yield engines
 
 
 @contextmanager
