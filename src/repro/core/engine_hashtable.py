@@ -140,6 +140,8 @@ class WaveEngine:
         # Loop-free graphs (the common case; checked once, cached on the
         # graph) skip the per-wave self-loop filter entirely.
         self._loop_free = not graph.has_self_loops
+        # Unit-weight graphs fill their gathered weights with 1 instead.
+        self._unit_weight = graph.unit_weight
 
     def release_memory(self) -> int:
         """Return the arena's ledger charges.
@@ -290,7 +292,12 @@ class WaveEngine:
             np.copyto(wide_targets, targets)
             targets = wide_targets
         weights = take(arena, "wv.w", ne, graph.weights.dtype)
-        graph.weights.take(gather.edge_index, out=weights, mode="clip")
+        if self._unit_weight:
+            # A take from the stride-0 unit view would copy the whole
+            # view per call; the gathered weights are all 1 anyway.
+            weights.fill(1.0)
+        else:
+            graph.weights.take(gather.edge_index, out=weights, mode="clip")
 
         # On a loop-free graph the filter is an identity copy, so the
         # gather feeds straight through.

@@ -5,6 +5,10 @@ default weight of 1" (Section 5.1.3): directed inputs get reverse edges
 added, parallel edges are merged by summing weights, and vertex ids are
 taken as dense ``[0, N)``.  These builders implement exactly that pipeline
 with vectorised NumPy (sort-based grouping, no Python-level edge loops).
+
+Input given no weights stays unit-weight end to end: each stage carries a
+:func:`~repro.graph.csr.unit_weights` view instead of an array of ones,
+and only a ``combine="sum"`` that merges parallel arcs writes weights.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.graph.csr import CSRGraph, index_dtype
+from repro.graph.csr import (
+    CSRGraph, gather_weights, index_dtype, is_unit, unit_weights,
+)
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 __all__ = [
@@ -37,16 +43,18 @@ def _as_edge_arrays(
             f"src and dst must have the same length; got {src.shape[0]} != {dst.shape[0]}"
         )
     if weights is None:
-        w = np.ones(src.shape[0], dtype=WEIGHT_DTYPE)
+        w = unit_weights(src.shape[0])
+    elif isinstance(weights, np.ndarray) and is_unit(weights):
+        w = weights
     else:
         w = np.asarray(weights, dtype=WEIGHT_DTYPE).ravel()
-        if w.shape != src.shape:
-            raise GraphConstructionError("weights must align with src/dst")
-        if w.shape[0] and not np.all(np.isfinite(w)):
-            raise GraphConstructionError(
-                "edge weights must be finite (NaN/inf would silently corrupt "
-                "modularity and label-weight accumulation)"
-            )
+    if w.shape != src.shape:
+        raise GraphConstructionError("weights must align with src/dst")
+    if not is_unit(w) and not np.all(np.isfinite(w)):
+        raise GraphConstructionError(
+            "edge weights must be finite (NaN/inf would silently corrupt "
+            "modularity and label-weight accumulation)"
+        )
     if src.shape[0] and (min(src.min(), dst.min()) < 0):
         raise GraphConstructionError("vertex ids must be non-negative")
     return src, dst, w
@@ -70,11 +78,13 @@ def _symmetrize(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     non_loop = src != dst
-    return (
+    src, dst = (
         np.concatenate([src, dst[non_loop]]),
         np.concatenate([dst, src[non_loop]]),
-        np.concatenate([w, w[non_loop]]),
     )
+    if is_unit(w):
+        return src, dst, unit_weights(src.shape[0])
+    return src, dst, np.concatenate([w, w[non_loop]])
 
 
 def symmetrize_edges(
@@ -121,7 +131,9 @@ def _deduplicate(
     """Merge parallel arcs of validated arrays with ids in ``[0, n)``.
 
     The result's rows are key-sorted (by source, then target); the
-    targets are decoded straight into ``target_dtype``.
+    targets are decoded straight into ``target_dtype``.  Unit weights
+    stay unit unless ``combine="sum"`` merges some run of two or more
+    arcs, which writes each run's arc count.
     """
     if combine not in ("sum", "max", "first"):
         raise GraphConstructionError(f"unknown combine mode {combine!r}")
@@ -130,7 +142,14 @@ def _deduplicate(
     np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=first[1:])
     starts = np.flatnonzero(first)
 
-    if combine == "first":
+    if is_unit(w):
+        if combine != "sum" or starts.shape[0] == keys_sorted.shape[0]:
+            merged = unit_weights(starts.shape[0])
+        else:
+            merged = np.diff(starts, append=keys_sorted.shape[0]).astype(
+                WEIGHT_DTYPE
+            )
+    elif combine == "first":
         merged = w[order[starts]]
     elif combine == "max":
         merged = np.maximum.reduceat(w[order], starts)
@@ -194,7 +213,7 @@ def coo_to_csr(
     """Pack already-clean COO triples into CSR with a counting sort
     (compact layout when the sizes fit, as :func:`from_edges`)."""
     order = np.argsort(src, kind="stable")
-    return _csr(src, dst[order], weights[order], num_vertices)
+    return _csr(src, dst[order], gather_weights(weights, order), num_vertices)
 
 
 def from_edges(
@@ -218,7 +237,8 @@ def from_edges(
         Endpoint arrays of equal length. Ids must be dense non-negative
         integers (no relabelling is performed).
     weights:
-        Optional weights; defaults to 1.0 per edge.
+        Optional weights; omitted, every edge weighs 1.0 and the graph
+        holds no weight buffer (:attr:`CSRGraph.unit_weight`).
     num_vertices:
         Explicit vertex count (``>= max id + 1``); inferred when omitted.
     symmetrize:
@@ -264,7 +284,8 @@ def from_scipy_sparse(matrix, *, symmetrize: bool = True) -> CSRGraph:
 def from_networkx(graph) -> CSRGraph:
     """Build from a ``networkx`` graph; nodes must be integers ``0..N-1``.
 
-    Edge attribute ``"weight"`` is honoured when present.
+    Edge attribute ``"weight"`` is honoured when present; a graph with
+    no ``"weight"`` attribute on any edge builds unit-weight.
     """
     n = graph.number_of_nodes()
     nodes = set(graph.nodes())
@@ -277,8 +298,12 @@ def from_networkx(graph) -> CSRGraph:
     src = np.empty(m, dtype=VERTEX_DTYPE)
     dst = np.empty(m, dtype=VERTEX_DTYPE)
     w = np.empty(m, dtype=WEIGHT_DTYPE)
+    weighted = False
     for idx, (u, v, data) in enumerate(graph.edges(data=True)):
         src[idx] = u
         dst[idx] = v
         w[idx] = data.get("weight", 1.0)
-    return from_edges(src, dst, w, num_vertices=n, symmetrize=True)
+        weighted = weighted or "weight" in data
+    return from_edges(
+        src, dst, w if weighted else None, num_vertices=n, symmetrize=True
+    )

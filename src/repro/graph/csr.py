@@ -8,8 +8,10 @@ paper's kernels consume it:
 * ``targets`` — ``int32[M]`` neighbour ids, where ``M`` counts each
   undirected edge in both directions (the paper's :math:`|E|` "after adding
   reverse edges");
-* ``weights`` — ``float32[M]`` matching edge weights (``1.0`` when the input
-  is unweighted).
+* ``weights`` — ``float32[M]`` matching edge weights.  A graph built
+  without weights (the paper's default weight of 1) holds no weight
+  buffer: its ``weights`` is a read-only stride-0 view of one ``1.0``
+  (:func:`unit_weights`), which every reader indexes like any array.
 
 Offsets and targets always share one width: 32 bits whenever ``N`` and
 ``M`` fit (:func:`index_dtype`), which is how every builder stores them,
@@ -30,9 +32,53 @@ import numpy as np
 from repro.errors import GraphConstructionError
 from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
-__all__ = ["CSRGraph", "index_dtype", "structural_issues"]
+__all__ = [
+    "CSRGraph",
+    "gather_weights",
+    "index_dtype",
+    "is_unit",
+    "structural_issues",
+    "unit_weights",
+]
 
 _INT32_MAX = np.iinfo(np.int32).max
+
+#: The one element every unit-weight view reads.
+_ONE = np.ones((), dtype=WEIGHT_DTYPE)
+_ONE.setflags(write=False)
+
+
+def unit_weights(num_arcs: int) -> np.ndarray:
+    """``num_arcs`` weights of 1.0 that hold no buffer of their own.
+
+    A read-only stride-0 ``float32`` view, so an unweighted graph keeps
+    no array of ones as long as its targets.  Slices stay stride-0 views;
+    fancy indexing reads them like any array.
+    """
+    return np.broadcast_to(_ONE, (num_arcs,))
+
+
+def is_unit(weights: np.ndarray) -> bool:
+    """Whether ``weights`` is a :func:`unit_weights` view.
+
+    Explicit arrays of ones are not: the representation records how the
+    weights were made, not what they hold.  An empty ``float32`` array
+    is unit either way (numpy gives empty arrays stride 0 too).
+    """
+    return (
+        weights.ndim == 1
+        and weights.dtype == WEIGHT_DTYPE
+        and (weights.shape[0] == 0
+             or (weights.strides == (0,) and bool(weights[0] == 1)))
+    )
+
+
+def gather_weights(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``weights[index]``, staying a unit view when ``weights`` is one."""
+    if not is_unit(weights):
+        return weights[index]
+    size = np.count_nonzero(index) if index.dtype == bool else index.shape[0]
+    return unit_weights(size)
 
 
 def index_dtype(num_vertices: int, num_edges: int) -> np.dtype:
@@ -111,7 +157,8 @@ class CSRGraph:
         keeps them (the compact layout every builder produces); any other
         pair is stored int64, so the two never differ in width.
     weights:
-        Optional ``float32[M]``; defaults to all ones (unweighted input).
+        Optional ``float32[M]``.  Omitted (or a :func:`unit_weights`
+        view), the graph is unit-weight and holds no weight buffer.
     validate:
         When true (default) the arrays are checked for structural
         consistency.  Generators that construct provably valid CSR directly
@@ -136,7 +183,9 @@ class CSRGraph:
             offsets = np.ascontiguousarray(offsets, dtype=OFFSET_DTYPE)
             targets = np.ascontiguousarray(targets, dtype=VERTEX_DTYPE)
         if weights is None:
-            weights = np.ones(targets.shape[0], dtype=WEIGHT_DTYPE)
+            weights = unit_weights(targets.shape[0])
+        elif is_unit(weights):
+            weights = unit_weights(weights.shape[0])  # length checked below
         else:
             weights = np.ascontiguousarray(weights, dtype=WEIGHT_DTYPE)
 
@@ -213,8 +262,13 @@ class CSRGraph:
 
     @property
     def weights(self) -> np.ndarray:
-        """CSR edge-weight array (read-only view)."""
+        """CSR edge-weight array (read-only view; stride-0 when unit)."""
         return self._weights
+
+    @property
+    def unit_weight(self) -> bool:
+        """Whether every weight is the default 1 and no buffer holds them."""
+        return is_unit(self._weights)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -229,8 +283,11 @@ class CSRGraph:
         """:math:`K_i = \\sum_{j \\in J_i} w_{ij}` for every vertex.
 
         Computed as a segmented sum over the CSR rows; float64 accumulator
-        to keep modularity arithmetic stable on large graphs.
+        to keep modularity arithmetic stable on large graphs.  A
+        unit-weight graph's are its degrees.
         """
+        if self.unit_weight:
+            return self._degrees.astype(np.float64)
         return np.bincount(
             self.source_ids(),
             weights=self._weights.astype(np.float64),
@@ -239,6 +296,8 @@ class CSRGraph:
 
     def total_weight(self) -> float:
         """:math:`m = \\sum_{ij} w_{ij} / 2`, total undirected edge weight."""
+        if self.unit_weight:
+            return self.num_edges / 2.0
         return float(self._weights.sum(dtype=np.float64) / 2.0)
 
     def source_ids(self) -> np.ndarray:
@@ -323,11 +382,13 @@ class CSRGraph:
         )
 
     def memory_bytes(self) -> int:
-        """Device-accounted footprint, derived from the actual itemsizes.
+        """Footprint of the paper's device layout, not of host memory.
 
         Compact layout (every built graph that fits): 4-byte
         offsets/targets + 4-byte weights.  Wide layout
-        (:meth:`with_wide_layout`): 8-byte offsets/targets.
+        (:meth:`with_wide_layout`): 8-byte offsets/targets.  Weights are
+        priced at 4 bytes per arc even on a unit-weight graph, whose host
+        copy holds none: the paper's kernels read a weight per arc.
         """
         return self._offsets.itemsize * self._offsets.shape[0] + (
             self._targets.itemsize + self._weights.itemsize

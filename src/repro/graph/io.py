@@ -393,27 +393,28 @@ def read_metis(path: str | Path, *, validate: str = "strict") -> CSRGraph:
         if has_edge_weights:
             if vals.shape[0] % 2:
                 raise GraphFormatError(f"{path}: odd token count on line {lineno}")
-            ids, wts = vals[0::2], vals[1::2]
+            ids = vals[0::2]
+            ws.append(vals[1::2])
         else:
             ids = vals
-            wts = np.ones(ids.shape[0], dtype=np.float64)
         nbrs = _vertex_ids(ids, np.full(ids.shape[0], lineno), path) - 1
         srcs.append(np.full(nbrs.shape[0], i, dtype=VERTEX_DTYPE))
         dsts.append(nbrs)
-        ws.append(wts)
         linenos.append(np.full(nbrs.shape[0], lineno, dtype=np.int64))
 
     src = np.concatenate(srcs) if srcs else np.empty(0, dtype=VERTEX_DTYPE)
     dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=VERTEX_DTYPE)
-    w = np.concatenate(ws) if ws else np.empty(0, dtype=np.float64)
-    lines64 = np.concatenate(linenos) if linenos else np.empty(0, dtype=np.int64)
-    w, keep = _weight_hygiene(w, lines64, path, validate)
-    dropped = keep is not None
-    if dropped:
-        src, dst, w = src[keep], dst[keep], w[keep]
-    graph = from_edges(
-        src, dst, w.astype(WEIGHT_DTYPE), num_vertices=n, symmetrize=True
-    )
+    w = None
+    dropped = False
+    if has_edge_weights:
+        w = np.concatenate(ws) if ws else np.empty(0, dtype=np.float64)
+        lines = np.concatenate(linenos) if linenos else np.empty(0, np.int64)
+        w, keep = _weight_hygiene(w, lines, path, validate)
+        dropped = keep is not None
+        if dropped:
+            src, dst, w = src[keep], dst[keep], w[keep]
+        w = w.astype(WEIGHT_DTYPE)
+    graph = from_edges(src, dst, w, num_vertices=n, symmetrize=True)
     if not dropped and graph.num_undirected_edges != m:
         # METIS headers count undirected edges; tolerate mismatch but flag
         # it.  Skipped after quarantine — dropping arcs changes the count

@@ -13,6 +13,10 @@ a *new* graph with the symmetric-arc invariant enforced — every insert adds
 both directions, every delete removes both, every weight update rewrites
 both.  They are deterministic (same inputs → bit-identical CSR), which is
 what lets a replayed delta log reconstruct a crashed stream's graph exactly.
+
+A unit-weight graph (:attr:`~repro.graph.csr.CSRGraph.unit_weight`) stays
+unit through every transform that only moves arcs, and through a delta
+merge that writes no weight other than 1.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.graph.build import coo_to_csr, deduplicate_edges, symmetrize_edges
-from repro.graph.csr import CSRGraph, index_dtype
+from repro.graph.csr import (
+    CSRGraph, gather_weights, index_dtype, is_unit, unit_weights,
+)
 from repro.graph.properties import connected_components
 from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
@@ -63,8 +69,8 @@ def induced_subgraph(
     dst = graph.targets
     mask = keep[src] & keep[dst]
     sub = coo_to_csr(
-        new_id[src[mask]], new_id[dst[mask]], graph.weights[mask],
-        vertices.shape[0],
+        new_id[src[mask]], new_id[dst[mask]],
+        gather_weights(graph.weights, mask), vertices.shape[0],
     )
     return sub, vertices
 
@@ -97,7 +103,8 @@ def remove_self_loops(graph: CSRGraph) -> CSRGraph:
     src = graph.source_ids()
     keep = src != graph.targets
     return coo_to_csr(
-        src[keep], graph.targets[keep], graph.weights[keep], graph.num_vertices
+        src[keep], graph.targets[keep], gather_weights(graph.weights, keep),
+        graph.num_vertices,
     )
 
 
@@ -123,7 +130,7 @@ def _delta_edge_arrays(
             f"got {src.shape[0]} != {dst.shape[0]}"
         )
     if weights is None:
-        w = np.ones(src.shape[0], dtype=WEIGHT_DTYPE)
+        w = unit_weights(src.shape[0])
     else:
         w = np.asarray(weights, dtype=WEIGHT_DTYPE).ravel()
         if w.shape != src.shape:
@@ -228,7 +235,8 @@ class ArcIndex:
 
         ``keys`` must be sorted and unique.  Weights are overwritten in
         place, dropped arcs masked out, new arcs inserted at their key
-        position, and the offsets rebuilt from per-row count deltas.
+        position, and the offsets rebuilt from per-row count deltas.  A
+        unit-weight graph stays unit when every weight written is 1.
         """
         if keys.shape[0] == 0 and not self.resort:
             return self.graph
@@ -240,8 +248,12 @@ class ArcIndex:
         if self._order is not None:
             pos = self._order[pos]
         kept = present[owner]
-        new_w = np.array(self._weights, dtype=WEIGHT_DTYPE)
-        new_w[pos[kept]] = weights[owner[kept]]
+        unit = is_unit(self._weights) and bool(np.all(weights[present] == 1))
+        if unit:
+            new_w = self._weights
+        else:
+            new_w = np.array(self._weights, dtype=WEIGHT_DTYPE)
+            new_w[pos[kept]] = weights[owner[kept]]
         drop = pos[~kept]
         fresh = present & (count == 0)
         if fresh.any() and not self.resort:
@@ -263,7 +275,7 @@ class ArcIndex:
         if drop.shape[0]:
             keep = np.ones(targets.shape[0], dtype=bool)
             keep[drop] = False
-            targets, new_w = targets[keep], new_w[keep]
+            targets, new_w = targets[keep], gather_weights(new_w, keep)
             np.subtract.at(counts, self._src[drop], 1)
         if fresh.any():
             at = first[fresh]
@@ -271,7 +283,8 @@ class ArcIndex:
                 at = at - np.searchsorted(np.sort(drop), at)
             new_keys = keys[fresh]
             targets = np.insert(targets, at, new_keys % self.key_n)
-            new_w = np.insert(new_w, at, weights[fresh])
+            new_w = (unit_weights(targets.shape[0]) if unit
+                     else np.insert(new_w, at, weights[fresh]))
             np.add.at(counts, new_keys // self.key_n, 1)
         offsets = np.zeros(self.num_vertices + 1, dtype=idx)
         np.cumsum(counts, out=offsets[1:])

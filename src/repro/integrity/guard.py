@@ -41,6 +41,7 @@ import numpy as np
 from repro.errors import CorruptionDetectedError, IntegrityError
 from repro.gpu.memory import MemoryModel
 from repro.gpu.metrics import KernelCounters
+from repro.graph.csr import is_unit
 from repro.integrity.config import IntegrityConfig
 from repro.integrity.ecc import SecDedModel
 from repro.types import EMPTY_KEY
@@ -92,10 +93,12 @@ class IntegrityGuard:
         self.ecc = SecDedModel(
             lpa_config.device, ber=config.ecc_ber, seed=config.ecc_seed
         )
-        #: Golden copies + running checksums of the immutable CSR arrays.
-        self._golden = {
-            name: getattr(graph, name).copy() for name in _CSR_ARRAYS
-        }
+        #: Golden copies + running checksums of the immutable CSR arrays
+        #: (a unit-weight view is its own golden copy: it holds no buffer).
+        self._golden = {}
+        for name in _CSR_ARRAYS:
+            arr = getattr(graph, name)
+            self._golden[name] = arr if is_unit(arr) else arr.copy()
         self._csr_crc = {
             name: array_crc32(arr) for name, arr in self._golden.items()
         }

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, GraphValidationError
 from repro.graph.build import coo_to_csr
-from repro.graph.csr import CSRGraph, structural_issues
+from repro.graph.csr import CSRGraph, structural_issues, unit_weights
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 __all__ = [
@@ -482,10 +482,12 @@ def validate_graph(
             f"graph failed strict validation: {report.summary()}", report=report
         )
     if changed:
+        # Every repair of a unit-weight graph keeps its weights at 1.
         graph = coo_to_csr(
             src.astype(VERTEX_DTYPE),
             dst.astype(VERTEX_DTYPE),
-            np.clip(w, -FP32_MAX, FP32_MAX).astype(WEIGHT_DTYPE),
+            unit_weights(src.shape[0]) if graph.unit_weight
+            else np.clip(w, -FP32_MAX, FP32_MAX).astype(WEIGHT_DTYPE),
             n,
         )
     return graph, report

@@ -97,15 +97,22 @@ def _price(result, cfg: LPAConfig) -> float:
     )
 
 
+def _held_bytes(arr: np.ndarray) -> int:
+    """Bytes ``arr`` holds: none for a stride-0 unit-weight view."""
+    return 0 if arr.strides == (0,) else arr.nbytes
+
+
 def _off_heap(graph: CSRGraph) -> CSRGraph:
     """``graph`` copied into one anonymous memory mapping.
 
     A resident subscription graph is replaced at every advance.  On the
     malloc heap the replaced arrays leave holes the next epoch's do not
     fit, so peak RSS creeps up; a mapping's pages go back to the OS when
-    its last array view is freed.
+    its last array view is freed.  A unit-weight graph's weights hold no
+    buffer, so its copy is built unit-weight too.
     """
     arrays = (graph.offsets, graph.targets, graph.weights)
+    arrays = arrays[: 2 if graph.unit_weight else 3]
     starts, size = [], 0
     for arr in arrays:
         size += -size % arr.itemsize  # align each array to its dtype
@@ -1126,9 +1133,10 @@ class DetectionService:
             "subscriptions": {
                 "resident": len(self._processors),
                 "resident_bytes": sum(
-                    p.graph.offsets.nbytes + p.graph.targets.nbytes
-                    + p.graph.weights.nbytes + p.labels.nbytes
+                    _held_bytes(arr)
                     for p in self._processors.values()
+                    for arr in (p.graph.offsets, p.graph.targets,
+                                p.graph.weights, p.labels)
                 ),
             },
             "breakers": [b.snapshot() for b in self.breakers.values()],

