@@ -22,6 +22,7 @@ __all__ = [
     "IntegrityError",
     "CorruptionDetectedError",
     "ResilienceExhaustedError",
+    "ContainerError",
     "CheckpointError",
     "CheckpointResumeError",
     "CheckpointNotFoundError",
@@ -192,6 +193,15 @@ class ResilienceExhaustedError(ReproError):
         self.report = report
 
 
+class ContainerError(ReproError):
+    """A durable container file could not be written, read, or verified.
+
+    Raised only by :mod:`repro.container`; each store re-raises it as its
+    own type (:class:`CheckpointError`, :class:`StreamError`,
+    :class:`SnapshotCorruptError`, ...).
+    """
+
+
 class CheckpointError(ReproError):
     """A checkpoint could not be written, read, or matched to this run."""
 
@@ -211,7 +221,7 @@ class CheckpointNotFoundError(CheckpointError):
     """A resume was requested but the directory holds no checkpoint at all.
 
     Raised by :func:`repro.resilience.checkpoint.preflight_resume` when the
-    checkpoint directory is missing or contains no ``ckpt-*.npz`` file —
+    checkpoint directory is missing or contains no ``ckpt-*.ckpt`` file —
     distinct from :class:`CheckpointCorruptError` so callers (and the CLI's
     exit codes) can tell "nothing was ever written" from "everything that
     was written is damaged".
@@ -219,7 +229,8 @@ class CheckpointNotFoundError(CheckpointError):
 
 
 class CheckpointCorruptError(CheckpointError):
-    """Every checkpoint generation in a directory failed verification.
+    """Every checkpoint generation in a directory failed verification (or
+    every one is in an earlier build's layout).
 
     Carries the per-generation failure reasons in :attr:`reasons` (newest
     first), mirroring what ``repro ckpt fsck`` would print.
@@ -288,7 +299,8 @@ class SnapshotError(ReproError):
 
 
 class SnapshotCorruptError(SnapshotError):
-    """A snapshot file failed its structural or CRC verification.
+    """A snapshot file is unreadable or failed its structural or CRC
+    verification.
 
     Raised by :meth:`repro.service.read.Snapshot.open` /
     :meth:`~repro.service.read.Snapshot.verify`; the catalog's

@@ -1,11 +1,10 @@
 """Unified at-rest integrity audit: ``repro fsck --all``.
 
-Every durable layer already verifies itself — checkpoints
-(:func:`repro.resilience.checkpoint.fsck`), delta WALs
-(:func:`repro.stream.log.fsck_log`), epoch journals
-(:meth:`repro.stream.epoch.EpochJournal.load`), service job journals
-(each record's labels CRC against the copy it names), and RPSNAP01 snapshots
-(:meth:`repro.service.read.Snapshot.open`).  What was missing is one walk
+Every durable layer already verifies itself — the three generation
+rings of RPSNAP01 containers (checkpoints, epoch journals and snapshot
+catalogs, each audited by :meth:`repro.container.Ring.audit`), delta WALs
+(:func:`repro.stream.log.fsck_log`) and service job journals (each
+record's labels CRC against the copy it names).  What was missing is one walk
 that finds *all* of them under a directory tree and folds the verdicts
 into a single machine-readable :class:`IntegrityReport` with one exit-code
 contract:
@@ -23,9 +22,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import (
-    CheckpointError, JournalVersionError, SnapshotError, StreamError,
-)
+from repro.errors import JournalVersionError, StreamError
 
 __all__ = ["FsckFinding", "StoreReport", "IntegrityReport", "fsck_all"]
 
@@ -118,24 +115,6 @@ class IntegrityReport:
 # Per-store walkers
 # ---------------------------------------------------------------------- #
 
-def _fsck_checkpoints(directory: Path) -> StoreReport:
-    from repro.resilience.checkpoint import fsck
-
-    report = StoreReport(kind="checkpoint", path=str(directory))
-    try:
-        entries = fsck(directory)
-    except CheckpointError as exc:
-        report.findings.append(
-            FsckFinding(path=str(directory), status="unreadable", detail=str(exc))
-        )
-        return report
-    for entry in entries:
-        report.findings.append(FsckFinding(
-            path=str(entry.path), status=entry.status, detail=entry.detail
-        ))
-    return report
-
-
 def _fsck_wal(directory: Path) -> StoreReport:
     from repro.stream.log import fsck_log
 
@@ -150,47 +129,6 @@ def _fsck_wal(directory: Path) -> StoreReport:
     for entry in entries:
         report.findings.append(FsckFinding(
             path=str(entry.path), status=entry.status, detail=entry.detail
-        ))
-    return report
-
-
-def _fsck_epochs(directory: Path) -> StoreReport:
-    from repro.stream.epoch import EpochJournal
-
-    report = StoreReport(kind="epoch-journal", path=str(directory))
-    for path in sorted(directory.glob("epoch-*.npz")):
-        try:
-            EpochJournal.load(path)
-        except (StreamError, OSError, ValueError) as exc:
-            report.findings.append(
-                FsckFinding(path=str(path), status="corrupt", detail=str(exc))
-            )
-        else:
-            report.findings.append(FsckFinding(path=str(path), status="ok"))
-    for tmp in sorted(directory.glob(".tmp-*")):
-        report.findings.append(FsckFinding(
-            path=str(tmp), status="stale-tmp", detail="orphaned temp file"
-        ))
-    return report
-
-
-def _fsck_snapshots(directory: Path) -> StoreReport:
-    from repro.service.read import Snapshot
-
-    report = StoreReport(kind="snapshot-catalog", path=str(directory))
-    for path in sorted(directory.glob("v*.snap")):
-        try:
-            snap = Snapshot.open(path, verify=True)
-        except SnapshotError as exc:
-            report.findings.append(
-                FsckFinding(path=str(path), status="corrupt", detail=str(exc))
-            )
-        else:
-            snap.close()
-            report.findings.append(FsckFinding(path=str(path), status="ok"))
-    for tmp in sorted(directory.glob(".tmp-*")):
-        report.findings.append(FsckFinding(
-            path=str(tmp), status="stale-tmp", detail="orphaned temp file"
         ))
     return report
 
@@ -238,39 +176,40 @@ def _fsck_service_journal(directory: Path) -> StoreReport:
 def _pruned_epoch(snapshot: Path, epoch: int | None) -> bool:
     """Whether a subscription record's missing ``snapshot`` was pruned by
     its epoch journal's retention ring: a newer readable epoch is there."""
-    from repro.stream.epoch import EpochJournal
+    from repro.stream.epoch import epoch_ring
 
     if epoch is None or snapshot.exists() or not snapshot.parent.is_dir():
         return False
-    newest = EpochJournal(snapshot.parent).latest()
+    newest = epoch_ring(snapshot.parent).latest()
     return newest is not None and newest.epoch > int(epoch)
 
 
 # ---------------------------------------------------------------------- #
 
-def _classify(directory: Path, names: list[str], dirnames: list[str]) -> list[str]:
-    """Which store kinds live directly in ``directory``."""
-    kinds = []
-    if any(n.startswith("ckpt-") and n.endswith(".npz") for n in names):
-        kinds.append("checkpoint")
+def _audit(directory: Path, names: list[str], dirnames: list[str]) -> list[StoreReport]:
+    """Audit every store that lives directly in ``directory``: the three
+    generation rings through :meth:`repro.container.Ring.audit`, then a
+    WAL and a service journal."""
+    from repro.resilience.checkpoint import checkpoint_ring
+    from repro.service.read import snapshot_ring
+    from repro.stream.epoch import epoch_ring
+
+    rings = {
+        "checkpoint": checkpoint_ring(directory),
+        "epoch-journal": epoch_ring(directory),
+        "snapshot-catalog": snapshot_ring(directory),
+    }
+    reports = [
+        StoreReport(kind, str(directory), [
+            FsckFinding(str(f.path), f.status, f.detail) for f in ring.audit()
+        ])
+        for kind, ring in rings.items() if any(ring.owns(n) for n in names)
+    ]
     if any(n.startswith("segment-") and n.endswith(".wal") for n in names):
-        kinds.append("wal")
-    if any(n.startswith("epoch-") and n.endswith(".npz") for n in names):
-        kinds.append("epoch-journal")
-    if any(n.startswith("v") and n.endswith(".snap") for n in names):
-        kinds.append("snapshot-catalog")
+        reports.append(_fsck_wal(directory))
     if "jobs" in dirnames and any((directory / "jobs").glob("*.json")):
-        kinds.append("service-journal")
-    return kinds
-
-
-_WALKERS = {
-    "checkpoint": _fsck_checkpoints,
-    "wal": _fsck_wal,
-    "epoch-journal": _fsck_epochs,
-    "snapshot-catalog": _fsck_snapshots,
-    "service-journal": _fsck_service_journal,
-}
+        reports.append(_fsck_service_journal(directory))
+    return reports
 
 
 def fsck_all(root: str | Path) -> IntegrityReport:
@@ -288,6 +227,5 @@ def fsck_all(root: str | Path) -> IntegrityReport:
     for current, dirnames, filenames in os.walk(root):
         current = Path(current)
         dirnames.sort()
-        for kind in _classify(current, sorted(filenames), dirnames):
-            report.stores.append(_WALKERS[kind](current))
+        report.stores.extend(_audit(current, sorted(filenames), dirnames))
     return report

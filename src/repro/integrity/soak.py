@@ -40,6 +40,7 @@ from repro.errors import SnapshotNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.integrity.config import IntegrityConfig
 from repro.integrity.fsck import fsck_all
+from repro.resilience.checkpoint import checkpoint_ring
 from repro.resilience.faults import FaultSpec
 from repro.soak import SoakReport
 
@@ -159,7 +160,7 @@ def _run_ckpt_at_rest(
     rng: np.random.Generator,
 ) -> tuple[str, bool, bool]:
     """Leg 2: bit rot in a committed checkpoint generation."""
-    found = sorted(ckpt_dir.glob("ckpt-*.npz"))
+    found = checkpoint_ring(ckpt_dir).files()
     if not found:
         return ("", True, True)
     victim = found[int(rng.integers(len(found)))]

@@ -42,7 +42,9 @@ import numpy as np
 from repro.core.config import LPAConfig, ResilienceConfig
 from repro.core.lpa import nu_lpa
 from repro.graph.csr import CSRGraph
-from repro.resilience.checkpoint import CheckpointManager, CheckpointState
+from repro.resilience.checkpoint import (
+    CheckpointManager, CheckpointState, checkpoint_ring,
+)
 from repro.resilience.faults import FAULT_KINDS, FaultSpec
 from repro.soak import InjectedCrash, SoakReport
 
@@ -120,8 +122,8 @@ class CrashingCheckpointManager(CheckpointManager):
         if crash.mode == "mid-write":
             # A torn write under the fsync+rename protocol: a partial temp
             # file exists, the final name was never replaced.
-            tmp = self.directory / f".tmp-torn-{state.iteration:06d}.npz"
-            tmp.write_bytes(b"\x93NUMPY torn mid-write")
+            tmp = self.directory / f".tmp-torn-{state.iteration:06d}.ckpt"
+            tmp.write_bytes(b"RPSNAP01 torn mid-write")
             raise InjectedCrash(
                 f"killed mid-write at boundary {state.iteration}"
             )
@@ -273,7 +275,7 @@ def _run_one(
     corruption = ""
     if crash_fired:
         if schedule.corrupt_newest:
-            found = sorted(ckpt_dir.glob("ckpt-*.npz"))
+            found = checkpoint_ring(ckpt_dir).files()
             if found:
                 corruption = corrupt_checkpoint(
                     found[-1], np.random.default_rng(schedule.seed + 1)

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.errors import DeltaLogCorruptError, StreamError
-from repro.resilience.checkpoint import _fsync_dir
+from repro.container import fsync_dir
 from repro.stream.delta import DeltaBatch
 
 __all__ = ["DeltaLog", "StreamFsckEntry", "encode_frame", "fsck_log"]
@@ -211,7 +211,7 @@ class DeltaLog:
                     fh.truncate(valid_end)
                     fh.flush()
                     os.fsync(fh.fileno())
-                _fsync_dir(self.directory)
+                fsync_dir(self.directory)
                 self.repairs.append(
                     f"{path.name}: truncated torn tail at offset "
                     f"{valid_end} ({damage})"
@@ -254,7 +254,7 @@ class DeltaLog:
         except OSError as exc:
             raise StreamError(f"cannot append to {path}: {exc}") from exc
         if fresh:
-            _fsync_dir(self.directory)
+            fsync_dir(self.directory)
         self._frames.append((path, offset, len(frame)))
         self.head_seq = seq
         return seq

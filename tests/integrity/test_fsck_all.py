@@ -16,6 +16,7 @@ from repro.resilience.chaos import InjectedCrash
 from repro.service import (
     DetectionService, GraphRef, JobSpec, JobState, ServiceConfig,
 )
+from repro.service.journal import ServiceJournal
 from repro.service.read import SnapshotCatalog
 from repro.stream import random_delta_batches
 from repro.stream.delta import DeltaBatch
@@ -47,15 +48,12 @@ def build_tree(root):
     catalog = SnapshotCatalog(root / "snap")
     catalog.publish("job-a", np.arange(60, dtype=np.int64))
 
-    service = root / "service"
-    (service / "jobs").mkdir(parents=True)
-    (service / "labels").mkdir()
+    service = ServiceJournal(root / "service")
     labels = np.arange(60, dtype=np.int64)
-    with open(service / "labels" / "job-a.npz", "wb") as fh:
-        np.savez(fh, labels=labels)
+    service._write_labels("job-a", labels)
     crc = zlib.crc32(np.ascontiguousarray(labels).tobytes())
-    (service / "jobs" / "job-a.json").write_text(
-        json.dumps({"version": 2, "job_id": "job-a", "labels_crc32": crc})
+    service.job_path("job-a").write_text(
+        json.dumps({"version": 3, "job_id": "job-a", "labels_crc32": crc})
     )
     return root
 
@@ -96,7 +94,7 @@ def _damaged_store(report, kind):
 
 class TestDamage:
     def test_checkpoint_bit_rot(self, tree):
-        victim = sorted((tree / "ckpt").glob("ckpt-*.npz"))[0]
+        victim = sorted((tree / "ckpt").glob("ckpt-*.ckpt"))[0]
         flip_bit(victim, victim.stat().st_size // 2, 3)
         report = fsck_all(tree)
         assert _damaged_store(report, "checkpoint")
@@ -112,7 +110,7 @@ class TestDamage:
         assert report.exit_code == 1
 
     def test_epoch_journal_bit_rot(self, tree):
-        victim = sorted((tree / "stream" / "epochs").glob("epoch-*.npz"))[0]
+        victim = sorted((tree / "stream" / "epochs").glob("epoch-*.epoch"))[0]
         flip_bit(victim, victim.stat().st_size // 2, 0)
         report = fsck_all(tree)
         assert _damaged_store(report, "epoch-journal")
@@ -127,22 +125,22 @@ class TestDamage:
         assert report.exit_code == 1
 
     def test_service_labels_crc_mismatch(self, tree):
-        labels_path = tree / "service" / "labels" / "job-a.npz"
-        with open(labels_path, "wb") as fh:
-            np.savez(fh, labels=np.zeros(60, dtype=np.int64))
+        ServiceJournal(tree / "service")._write_labels(
+            "job-a", np.zeros(60, dtype=np.int64)
+        )
         report = fsck_all(tree)
         damaged = _damaged_store(report, "service-journal")
         assert damaged
         assert "CRC" in damaged[0].findings[0].detail
 
     def test_service_job_record_unparseable(self, tree):
-        (tree / "service" / "jobs" / "job-a.json").write_text("{not json")
+        ServiceJournal(tree / "service").job_path("job-a").write_text("{not json")
         report = fsck_all(tree)
         assert _damaged_store(report, "service-journal")
         assert report.exit_code == 1
 
     def test_service_job_record_of_another_version(self, tree):
-        record = tree / "service" / "jobs" / "job-a.json"
+        record = ServiceJournal(tree / "service").job_path("job-a")
         doc = json.loads(record.read_text())
         doc["version"] = 1
         record.write_text(json.dumps(doc))
@@ -164,7 +162,7 @@ class TestRecoverableFindings:
     def test_stale_tmp_files_do_not_count_as_damage(self, tree):
         snap_store = sorted((tree / "snap").rglob("v*.snap"))[0].parent
         (snap_store / ".tmp-999-v3.snap").write_bytes(b"partial")
-        (tree / "stream" / "epochs" / ".tmp-999-e1.npz").write_bytes(b"junk")
+        (tree / "stream" / "epochs" / ".tmp-999-e1.epoch").write_bytes(b"junk")
         report = fsck_all(tree)
         assert report.exit_code == 0
         stale = [
@@ -224,12 +222,12 @@ def subscription_tree(tmp_path):
 
 class TestSubscriptionLabels:
     """A subscription record's labels CRC is checked against the epoch
-    snapshot it names; there is no labels/<job>.npz to look for."""
+    snapshot it names; there is no labels/<job>.labels to look for."""
 
     def test_clean(self, subscription_tree):
         root, snapshot = subscription_tree
         assert snapshot.exists()
-        assert not list((root / "labels").glob("*.npz"))
+        assert not list((root / "labels").iterdir())
         report = fsck_all(root)
         assert report.exit_code == 0
         (service,) = [s for s in report.stores if s.kind == "service-journal"]

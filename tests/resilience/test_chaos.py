@@ -42,12 +42,12 @@ class TestCrashInjection:
                     checkpoint_factory=CrashingCheckpointManager.factory(crash),
                 ),
             )
-        durable = sorted(p.name for p in tmp_path.glob("ckpt-*.npz"))
+        durable = sorted(p.name for p in tmp_path.glob("ckpt-*.ckpt"))
         torn = list(tmp_path.glob(".tmp-*"))
         if mode == "after-write":
-            assert "ckpt-000002.npz" in durable
+            assert "ckpt-000002.ckpt" in durable
         else:
-            assert "ckpt-000002.npz" not in durable
+            assert "ckpt-000002.ckpt" not in durable
         if mode == "mid-write":
             assert torn  # the torn partial temp file is left behind
         # whatever survived must be loadable and resumable
@@ -74,7 +74,7 @@ class TestCrashInjection:
             graph, LPAConfig(max_iterations=2), warn_on_no_convergence=False,
             resilience=ResilienceConfig(checkpoint_dir=tmp_path),
         )
-        newest = sorted(tmp_path.glob("ckpt-*.npz"))[-1]
+        newest = sorted(tmp_path.glob("ckpt-*.ckpt"))[-1]
         how = corrupt_checkpoint(newest, np.random.default_rng(0))
         assert how in ("truncated", "bit-flipped")
         from repro.errors import CheckpointError

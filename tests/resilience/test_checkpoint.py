@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.container import HEADER_AT
 from repro.core.config import LPAConfig, ResilienceConfig
 from repro.core.lpa import nu_lpa
 from repro.core.result import IterationStats
-from repro.errors import CheckpointError
+from repro.errors import CheckpointCorruptError, CheckpointError
 from repro.graph.generators import web_graph
 from repro.resilience.checkpoint import (
     CheckpointManager,
     CheckpointState,
     fsck,
+    preflight_resume,
     run_digest,
 )
 from repro.resilience.faults import FaultSpec
@@ -51,7 +53,7 @@ class TestFormat:
             capacity_scale=2,
         )
         path = mgr.save(state)
-        assert path.name == "ckpt-000007.npz"
+        assert path.name == "ckpt-000007.ckpt"
         loaded = CheckpointManager.load(path)
         assert np.array_equal(loaded.labels, state.labels)
         assert np.array_equal(loaded.flags, state.flags)
@@ -65,24 +67,6 @@ class TestFormat:
         assert loaded.stats[0].changed == 5
         assert loaded.stats[0].reverted == 1
 
-    def test_meta_without_capacity_scale_loads_at_paper_scale(self, tmp_path):
-        import json
-
-        path = CheckpointManager(tmp_path).save(CheckpointState(
-            labels=np.arange(4, dtype=np.int64),
-            flags=np.ones(4, dtype=np.uint8),
-            iteration=1,
-            digest="d",
-        ))
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(str(arrays["meta"]))
-        del meta["capacity_scale"]  # written before the field existed
-        arrays["meta"] = np.array(json.dumps(meta))
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        assert CheckpointManager.load(path).capacity_scale == 1
-
     def test_no_tmp_files_left_behind(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
         mgr.save(CheckpointState(
@@ -90,7 +74,7 @@ class TestFormat:
             flags=np.zeros(3, dtype=np.uint8),
             iteration=1, digest="d",
         ))
-        assert [p.name for p in tmp_path.iterdir()] == ["ckpt-000001.npz"]
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt-000001.ckpt"]
 
     def test_latest_picks_newest(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
@@ -107,7 +91,7 @@ class TestFormat:
         assert CheckpointManager(tmp_path).latest() is None
 
     def test_corrupt_file_raises(self, tmp_path):
-        bad = tmp_path / "ckpt-000001.npz"
+        bad = tmp_path / "ckpt-000001.ckpt"
         bad.write_bytes(b"not an npz file")
         with pytest.raises(CheckpointError, match="unreadable"):
             CheckpointManager.load(bad)
@@ -134,8 +118,8 @@ class TestDurability:
     def test_crc_mismatch_detected(self, tmp_path):
         path = CheckpointManager(tmp_path).save(make_state(1, fill=7))
         blob = bytearray(path.read_bytes())
-        # flip bytes in the middle of the container — lands in array data,
-        # not the zip directory, so np.load still succeeds
+        # flip bytes in the middle of the container — lands in a section
+        # or the header, each covered by its own CRC32
         mid = len(blob) // 2
         for i in range(mid, mid + 16):
             blob[i] ^= 0xFF
@@ -149,27 +133,31 @@ class TestDurability:
         with pytest.raises(CheckpointError):
             CheckpointManager.load(path)
 
-    def test_unknown_compression_method_is_checkpoint_error(self, tmp_path):
+    @pytest.mark.parametrize("damage, reason", [
+        ("truncated-header", "truncated header"),
+        ("foreign-magic", "bad magic"),
+    ])
+    def test_container_damage_is_checkpoint_error(self, tmp_path, damage, reason):
         path = CheckpointManager(tmp_path).save(make_state(1))
-        blob = bytearray(path.read_bytes())
-        # The first central-directory entry's compression method (offset
-        # 10) names no method zipfile knows: it raises NotImplementedError.
-        entry = blob.index(b"PK\x01\x02")
-        blob[entry + 10:entry + 12] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="unreadable"):
+        blob = path.read_bytes()
+        if damage == "truncated-header":
+            blob = blob[:HEADER_AT + 5]
+        else:
+            blob = b"PK\x03\x04" + blob[4:]  # a zip (npz) local header
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match=f"unreadable.*{reason}"):
             CheckpointManager.load(path)
 
     def test_latest_falls_back_past_corrupt_newest(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
         for it in (1, 2, 3):
             mgr.save(make_state(it, fill=it))
-        newest = tmp_path / "ckpt-000003.npz"
+        newest = tmp_path / "ckpt-000003.ckpt"
         newest.write_bytes(b"torn")
         latest = mgr.latest()
         assert latest.iteration == 2
         assert latest.labels[0] == 2
-        assert [p.name for p, _ in mgr.skipped] == ["ckpt-000003.npz"]
+        assert [p.name for p, _ in mgr.skipped] == ["ckpt-000003.ckpt"]
 
     def test_latest_none_when_every_generation_corrupt(self, tmp_path):
         mgr = CheckpointManager(tmp_path)
@@ -183,11 +171,9 @@ class TestDurability:
         for it in range(1, 7):
             mgr.save(make_state(it))
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["ckpt-000005.npz", "ckpt-000006.npz"]
+        assert names == ["ckpt-000005.ckpt", "ckpt-000006.ckpt"]
 
-    def test_prune_fsyncs_the_directory_only_after_an_unlink(
-        self, tmp_path, monkeypatch
-    ):
+    def test_prune_never_fsyncs_the_directory(self, tmp_path, monkeypatch):
         import os
 
         calls = []
@@ -199,8 +185,9 @@ class TestDurability:
         # Nothing pruned: the temp file and the rename, per save.
         assert len(calls) == 3 * 2
         mgr.save(make_state(4))
-        # One superseded checkpoint unlinked: one more directory fsync.
-        assert len(calls) == 3 * 2 + 3
+        # One superseded checkpoint unlinked, and still two fsyncs.
+        assert len(calls) == 4 * 2
+        assert len(mgr.checkpoints()) == 3
 
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -214,7 +201,7 @@ class TestDurability:
             ),
             warn_on_no_convergence=False,
         )
-        assert len(list((tmp_path / "ckpt").glob("ckpt-*.npz"))) <= 2
+        assert len(list((tmp_path / "ckpt").glob("ckpt-*.ckpt"))) <= 2
 
     def test_resume_survives_corrupt_newest(self, tmp_path, graph):
         """Acceptance scenario: corrupting the newest checkpoint makes the
@@ -224,7 +211,7 @@ class TestDurability:
             graph, LPAConfig(max_iterations=3), engine="hashtable",
             resilience=ckpt_config(tmp_path), warn_on_no_convergence=False,
         )
-        newest = sorted((tmp_path / "ckpt").glob("ckpt-*.npz"))[-1]
+        newest = sorted((tmp_path / "ckpt").glob("ckpt-*.ckpt"))[-1]
         newest.write_bytes(newest.read_bytes()[:64])
         resumed = nu_lpa(
             graph, engine="hashtable",
@@ -245,8 +232,8 @@ class TestFsck:
         statuses = {e.path.name: e.status for e in entries}
         assert statuses == {
             ".tmp-12345.npz": "stale-tmp",
-            "ckpt-000001.npz": "ok",
-            "ckpt-000002.npz": "corrupt",
+            "ckpt-000001.ckpt": "ok",
+            "ckpt-000002.ckpt": "corrupt",
         }
         ok = [e for e in entries if e.status == "ok"][0]
         assert ok.iteration == 1
@@ -268,6 +255,36 @@ class TestFsck:
         assert main(["ckpt", "fsck", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "corrupt" in out and "deleted" in out
+
+
+class TestEarlierLayout:
+    """A directory of an earlier build's npz checkpoints is refused by
+    name, never read and never mistaken for an empty directory."""
+
+    def _npz_tree(self, tmp_path):
+        for it in (1, 2):
+            with open(tmp_path / f"ckpt-{it:06d}.npz", "wb") as fh:
+                np.savez(fh, labels=np.zeros(3, dtype=np.int64))
+        return tmp_path
+
+    def test_preflight_names_the_old_layout(self, tmp_path):
+        with pytest.raises(CheckpointCorruptError, match="npz layout") as info:
+            preflight_resume(self._npz_tree(tmp_path))
+        assert "ckpt-000002.npz" in str(info.value)
+        assert len(info.value.reasons) == 2
+
+    def test_fsck_reports_old_files_as_corrupt(self, tmp_path):
+        from repro.integrity import fsck_all
+
+        entries = fsck(self._npz_tree(tmp_path))
+        assert {e.path.name: e.status for e in entries} == {
+            "ckpt-000001.npz": "corrupt", "ckpt-000002.npz": "corrupt",
+        }
+        assert "earlier build" in entries[0].detail
+        assert fsck_all(tmp_path).exit_code == 1
+
+    def test_lenient_resume_starts_fresh(self, tmp_path):
+        assert CheckpointManager(self._npz_tree(tmp_path)).latest() is None
 
 
 class TestRunDigest:
@@ -393,5 +410,5 @@ class TestResume:
         )
         names = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
         # boundaries 2 and 4 are due; convergence may add a final one
-        assert "ckpt-000002.npz" in names
-        assert "ckpt-000001.npz" not in names
+        assert "ckpt-000002.ckpt" in names
+        assert "ckpt-000001.ckpt" not in names

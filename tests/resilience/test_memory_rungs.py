@@ -246,7 +246,7 @@ class TestCheckpointStaging:
     def test_refused_staging_skips_every_save(self, graph, tmp_path, monkeypatch):
         # Sanity: with staging admitted, every boundary writes a snapshot.
         admitted = self._run(graph, tmp_path / "admitted")
-        assert len(list((tmp_path / "admitted").glob("ckpt-*.npz"))) == (
+        assert len(list((tmp_path / "admitted").glob("ckpt-*.ckpt"))) == (
             admitted.num_iterations
         )
         assert admitted.memory["in_use_bytes"] == 0
@@ -257,7 +257,7 @@ class TestCheckpointStaging:
         assert [ev.iteration for ev in skips] == list(range(result.num_iterations))
         assert all(ev.fault == "DeviceOomError" for ev in skips)
         assert all("checkpoint staging skipped" in ev.detail for ev in skips)
-        assert not list((tmp_path / "refused").glob("ckpt-*.npz"))
+        assert not list((tmp_path / "refused").glob("ckpt-*.ckpt"))
         assert result.memory["in_use_bytes"] == 0
         assert result.memory["underflows"] == 0
         assert result.memory["ooms"] == len(skips)

@@ -281,7 +281,7 @@ class TestJournalRecovery:
         labels = first.result("a").outcome.labels.copy()
 
         journal = ServiceJournal(tmp_path / "j")
-        np.savez(journal.labels_path("a"), labels=labels + 1)  # corrupt
+        journal._write_labels("a", labels + 1)  # intact, but not the answer
 
         second = DetectionService(config)
         assert second.result("a").state is JobState.PENDING  # CRC mismatch
@@ -289,6 +289,34 @@ class TestJournalRecovery:
         record = second.result("a")
         assert record.state is JobState.COMPLETED
         assert np.array_equal(record.outcome.labels, labels)
+
+    def test_labels_reader_bug_propagates(self, tmp_path, monkeypatch):
+        """Only the container's typed error means "labels unreadable": any
+        other exception from the reader propagates instead of demoting a
+        completed job to pending."""
+        import repro.container
+
+        config = ServiceConfig(workers=1, journal_dir=tmp_path / "j")
+        first = DetectionService(config)
+        first.submit(_spec("a"))
+        first.drain()
+
+        def broken(*args, **kwargs):
+            raise TypeError("reader bug")
+
+        monkeypatch.setattr(repro.container, "read", broken)
+        with pytest.raises(TypeError, match="reader bug"):
+            DetectionService(config)
+
+    def test_missing_labels_file_demotes_to_pending(self, tmp_path):
+        config = ServiceConfig(workers=1, journal_dir=tmp_path / "j")
+        first = DetectionService(config)
+        first.submit(_spec("a"))
+        first.drain()
+        first.journal.labels_path("a").unlink()
+
+        second = DetectionService(config)
+        assert second.result("a").state is JobState.PENDING
 
     def test_unreadable_journal_record_skipped_not_fatal(self, tmp_path):
         config = ServiceConfig(workers=1, journal_dir=tmp_path / "j")
@@ -302,20 +330,21 @@ class TestJournalRecovery:
         assert second.result("a").state is JobState.COMPLETED
 
 
-    def test_version_1_journal_is_refused_at_start(self, tmp_path):
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_earlier_journal_version_is_refused_at_start(self, tmp_path, old):
         config = ServiceConfig(workers=1, journal_dir=tmp_path / "j")
         first = DetectionService(config)
         first.submit(_spec("a"))
         path = first.journal.job_path("a")
         doc = json.loads(path.read_text())
-        doc["version"] = 1
+        doc["version"] = old
         path.write_text(json.dumps(doc, indent=2))
 
         with pytest.raises(JournalVersionError) as info:
             DetectionService(config)
-        assert info.value.found == 1 and info.value.expected == 2
-        assert "version 1" in str(info.value)
-        assert "version 2" in str(info.value)
+        assert info.value.found == old and info.value.expected == 3
+        assert f"version {old}" in str(info.value)
+        assert "version 3" in str(info.value)
 
     def test_claimed_job_killed_mid_run_resumes_from_checkpoints(self, tmp_path):
         from repro.resilience.chaos import (

@@ -126,7 +126,7 @@ class TestSubscriptionRuns:
         service.submit(_spec("sub", tmp_path / "wal"))
         service.drain()
         stream_dir = service.journal.stream_dir("sub")
-        assert sorted(p.name for p in stream_dir.glob("epoch-*.npz"))
+        assert sorted(p.name for p in stream_dir.glob("epoch-*.epoch"))
 
     def test_runs_without_a_journal(self, tmp_path):
         _fill_log(tmp_path / "wal")
@@ -136,7 +136,7 @@ class TestSubscriptionRuns:
         record = service.result("nojournal")
         assert record.state is JobState.COMPLETED
         # Epochs fall back to a directory next to the WAL.
-        assert list((tmp_path / "wal" / "epochs").glob("epoch-*.npz"))
+        assert list((tmp_path / "wal" / "epochs").glob("epoch-*.epoch"))
 
 
 class TestKillRestart:
@@ -226,7 +226,7 @@ class TestLabelOwner:
         service.submit(_spec("sub", tmp_path / "wal"))
         service.drain()
         doc = json.loads(service.journal.job_path("sub").read_text())
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert doc["state"] == "completed"
         assert doc["labels_epoch"] == 3
         assert not service.journal.labels_path("sub").exists()
@@ -323,7 +323,7 @@ class TestAdvanceCrash:
         )
         service.submit(_spec("sub", tmp_path / "wal"))
         service.drain()
-        for path in service.journal.stream_dir("sub").glob("epoch-*.npz"):
+        for path in service.journal.stream_dir("sub").glob("epoch-*.epoch"):
             path.unlink()
         # Caught up by its outcome (epoch 3 == log head): no re-run.
         assert service.advance_subscription("sub") is False

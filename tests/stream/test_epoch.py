@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.container import HEADER_AT
 from repro.errors import DeltaValidationError, StreamError
 from repro.graph.build import from_edges
 from repro.stream.delta import DeadLetterFile, DeltaBatch, DeltaOp
@@ -130,23 +131,26 @@ class TestEpochJournal:
     def test_crc_mismatch_detected(self, tmp_path):
         journal = EpochJournal(tmp_path)
         path = journal.save(self._state(1))
-        # Corrupt a labels byte inside the npz: rewrite with a bad array
-        # is easiest -- save a different labels array under the same meta.
+        # Flip a byte of the labels section (the file's last bytes).
         data = bytearray(path.read_bytes())
         data[-10] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(StreamError):
             EpochJournal.load(path)
 
-    def test_unknown_compression_method_is_stream_error(self, tmp_path):
+    @pytest.mark.parametrize("damage, reason", [
+        ("truncated-header", "truncated header"),
+        ("foreign-magic", "bad magic"),
+    ])
+    def test_container_damage_is_stream_error(self, tmp_path, damage, reason):
         path = EpochJournal(tmp_path).save(self._state(1))
-        data = bytearray(path.read_bytes())
-        # The first central-directory entry's compression method (offset
-        # 10) names no method zipfile knows: it raises NotImplementedError.
-        entry = data.index(b"PK\x01\x02")
-        data[entry + 10:entry + 12] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(StreamError, match="unreadable"):
+        blob = path.read_bytes()
+        if damage == "truncated-header":
+            blob = blob[:HEADER_AT + 5]
+        else:
+            blob = b"PK\x03\x04" + blob[4:]  # a zip (npz) local header
+        path.write_bytes(blob)
+        with pytest.raises(StreamError, match=f"unreadable.*{reason}"):
             EpochJournal.load(path)
 
     def test_keep_ring_prunes(self, tmp_path):
@@ -154,7 +158,7 @@ class TestEpochJournal:
         for e in range(5):
             journal.save(self._state(e))
         assert [p.name for p in journal.epochs()] == [
-            "epoch-000003.npz", "epoch-000004.npz",
+            "epoch-000003.epoch", "epoch-000004.epoch",
         ]
 
     def test_bad_keep_rejected(self, tmp_path):

@@ -138,7 +138,7 @@ class TestDetectResilience:
     def test_checkpoint_then_resume(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         assert main(self.ARGS + ["--checkpoint-dir", str(ckpt)]) == 0
-        assert list(ckpt.glob("ckpt-*.npz"))
+        assert list(ckpt.glob("ckpt-*.ckpt"))
         first = capsys.readouterr().out
         assert main(
             self.ARGS + ["--checkpoint-dir", str(ckpt), "--resume"]
@@ -207,7 +207,7 @@ class TestCkptCommand:
             "detect", "--dataset", "asia_osm", "--scale", "0.1",
             "--checkpoint-dir", str(ckpt), "--max-iterations", "2",
         ])
-        newest = sorted(ckpt.glob("ckpt-*.npz"))[-1]
+        newest = sorted(ckpt.glob("ckpt-*.ckpt"))[-1]
         newest.write_bytes(b"rot")
         (ckpt / ".tmp-999.npz").write_bytes(b"partial")
         capsys.readouterr()
@@ -273,7 +273,7 @@ class TestResumeEdgeCases:
         assert main(self.ARGS + [
             "--checkpoint-dir", str(ckpt), "--max-iterations", "3",
         ]) == 0
-        for path in ckpt.glob("ckpt-*.npz"):
+        for path in ckpt.glob("ckpt-*.ckpt"):
             path.write_bytes(b"rot")
         capsys.readouterr()
         assert main(self.ARGS + [
@@ -331,7 +331,7 @@ class TestSignalHandling:
         assert rc == 130
         out = capsys.readouterr().out
         assert "interrupted" in out and "SIGINT" in out
-        assert list(ckpt.glob("ckpt-*.npz"))  # final checkpoint written
+        assert list(ckpt.glob("ckpt-*.ckpt"))  # final checkpoint written
         assert trace.exists()                 # trace flushed
 
     def test_sigterm_detect_exits_143(self, tmp_path, capsys, monkeypatch):
